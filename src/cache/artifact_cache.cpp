@@ -3,16 +3,16 @@
 #include <filesystem>
 #include <utility>
 
-#include "cache/artifact_serialize.hpp"
 #include "vm/hab.hpp"
+#include "vm/loaded_artifact.hpp"
 
 namespace htvm::cache {
 namespace {
 
 // Resident-size estimate for LRU accounting. Dominated by the constant
 // payloads (exact); graph/kernel/plan bookkeeping is charged per record.
-// Deliberately not SerializeArtifact().size(): serializing on every Store
-// would cost more than many of the compiles being cached.
+// Deliberately not SerializeHab().size(): serializing on every Store would
+// cost more than many of the compiles being cached.
 i64 EstimateArtifactBytes(const compiler::Artifact& a) {
   i64 bytes = 4096;
   for (const Node& n : a.kernel_graph.nodes()) {
@@ -92,11 +92,13 @@ std::shared_ptr<const compiler::Artifact> ArtifactCache::Lookup(
   }
   // Disk probe happens outside the lock: file I/O and parsing must not
   // serialize unrelated lookups.
+  bool unloadable = false;
   if (!options_.dir.empty()) {
-    Result<compiler::Artifact> loaded = LoadArtifact(DiskPath(key));
+    Result<vm::LoadedArtifact> loaded =
+        vm::LoadedArtifact::FromFile(DiskPath(key));
     if (loaded.ok()) {
-      auto artifact =
-          std::make_shared<const compiler::Artifact>(std::move(*loaded));
+      std::shared_ptr<const compiler::Artifact> artifact =
+          loaded->shared_artifact();
       const i64 bytes = EstimateArtifactBytes(*artifact);
       std::lock_guard<std::mutex> lock(mu_);
       stats_.hits += 1;
@@ -106,9 +108,13 @@ std::shared_ptr<const compiler::Artifact> ArtifactCache::Lookup(
       InsertLocked(key, artifact, bytes);
       return artifact;
     }
+    // A file that exists but does not load (corrupt, truncated, a v1 text
+    // file, a future format version) is a miss like any other.
+    unloadable = loaded.status().code() != StatusCode::kNotFound;
   }
   std::lock_guard<std::mutex> lock(mu_);
   stats_.misses += 1;
+  if (unloadable) unloadable_.insert(key);
   return nullptr;
 }
 
@@ -122,14 +128,16 @@ void ArtifactCache::Store(const std::string& key,
     stats_.miss_cost_ns +=
         compiler::PassTimelineTotalNs(artifact.pass_timeline);
     InsertLocked(key, std::move(shared), EstimateArtifactBytes(artifact));
+    // An existing file is kept unless Lookup found it unloadable; then the
+    // fresh artifact replaces it, so a bad file costs one recompile, not a
+    // miss in every future process.
     persist = !options_.dir.empty() &&
-              !std::filesystem::exists(DiskPath(key));
+              (unloadable_.erase(key) > 0 ||
+               !std::filesystem::exists(DiskPath(key)));
     if (persist) stats_.disk_writes += 1;
   }
   if (persist) {
-    // Best-effort: a failed write degrades to memory-only caching. New
-    // entries are written in the v2 binary format (the reader still accepts
-    // v1 text left by older builds — see docs/artifact_cache.md).
+    // Best-effort: a failed write degrades to memory-only caching.
     vm::HabMeta meta;
     meta.model_name = key;
     meta.producer = "artifact-cache";
@@ -189,6 +197,7 @@ void ArtifactCache::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
   lru_.clear();
   index_.clear();
+  unloadable_.clear();
   schedules_.clear();
   plans_.clear();
   stats_ = CacheStats{};
@@ -198,6 +207,7 @@ void ArtifactCache::Reset(const ArtifactCacheOptions& new_options) {
   std::lock_guard<std::mutex> lock(mu_);
   lru_.clear();
   index_.clear();
+  unloadable_.clear();
   schedules_.clear();
   plans_.clear();
   stats_ = CacheStats{};

@@ -9,8 +9,10 @@
 //   - byte-budgeted LRU: entry cost is the artifact's estimated resident
 //     size (exact for the dominant constant payloads);
 //   - optionally persistent: with a non-empty `dir`, every store also writes
-//     <dir>/<key>.htvmart (atomic tmp+rename) and a memory miss falls back
-//     to disk — a second process serving the same models compiles nothing.
+//     <dir>/<key>.htvmart as a HAB file (vm/hab.hpp; atomic tmp+rename) and
+//     a memory miss falls back to disk — a second process serving the same
+//     models compiles nothing. A file that does not load is a miss and is
+//     overwritten by the next store of its key.
 //
 // PassManager::Run consults the cache through the compiler-side
 // ArtifactCacheHook interface (dependency arrow: cache -> compiler, never
@@ -23,6 +25,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "cache/cache_key.hpp"
 #include "compiler/pass_manager.hpp"
@@ -117,6 +120,8 @@ class ArtifactCache final : public compiler::ArtifactCacheHook {
   ArtifactCacheOptions options_;
   std::list<Entry> lru_;  // front = most recent
   std::unordered_map<std::string, std::list<Entry>::iterator> index_;
+  // Keys whose disk file exists but failed to load; Store replaces them.
+  std::unordered_set<std::string> unloadable_;
   std::unordered_map<std::string, dory::TileSolution> schedules_;
   std::unordered_map<std::string, dory::GraphPlan> plans_;
   CacheStats stats_;

@@ -13,8 +13,8 @@
 namespace htvm::vm {
 namespace {
 
-// Sanity caps shared with the v1 text reader: a corrupted length field must
-// produce a typed error, never a multi-gigabyte allocation.
+// Sanity caps: a corrupted length field must produce a typed error, never a
+// multi-gigabyte allocation.
 constexpr i64 kMaxNodes = i64{1} << 20;
 constexpr i64 kMaxKernels = i64{1} << 16;
 constexpr i64 kMaxSteps = i64{1} << 20;
@@ -221,11 +221,12 @@ void WriteMemPlan(Writer& w, const compiler::MemoryPlan& plan) {
   }
 }
 
-void WritePasses(Writer& w, const compiler::PassTimeline& timeline) {
+void WritePasses(Writer& w, const compiler::PassTimeline& timeline,
+                 bool scrub_wall_ns) {
   w.U32(static_cast<u32>(timeline.size()));
   for (const compiler::PassStat& p : timeline) {
     w.Str(p.name);
-    w.I64(p.wall_ns);
+    w.I64(scrub_wall_ns ? 0 : p.wall_ns);
     w.I64(p.nodes_before);
     w.I64(p.nodes_after);
     w.U8(p.skipped ? 1 : 0);
@@ -969,7 +970,10 @@ bool LooksLikeHab(const std::string& data) {
       reinterpret_cast<const u8*>(data.data()), data.size()));
 }
 
-std::string SerializeHab(const compiler::Artifact& a, const HabMeta& meta) {
+namespace {
+
+std::string SerializeHabImpl(const compiler::Artifact& a, const HabMeta& meta,
+                             bool scrub_wall_ns) {
   struct Section {
     HabSection id;
     std::string payload;
@@ -984,7 +988,8 @@ std::string SerializeHab(const compiler::Artifact& a, const HabMeta& meta) {
   add(HabSection::kHwConfig, [&](Writer& w) { WriteHwConfig(w, a.hw_config); });
   add(HabSection::kSize, [&](Writer& w) { WriteSize(w, a.size); });
   add(HabSection::kMemPlan, [&](Writer& w) { WriteMemPlan(w, a.memory_plan); });
-  add(HabSection::kPasses, [&](Writer& w) { WritePasses(w, a.pass_timeline); });
+  add(HabSection::kPasses,
+      [&](Writer& w) { WritePasses(w, a.pass_timeline, scrub_wall_ns); });
   add(HabSection::kDispatch,
       [&](Writer& w) { WriteDispatch(w, a.dispatch_log); });
   add(HabSection::kGraph, [&](Writer& w) { WriteGraph(w, a.kernel_graph); });
@@ -1033,6 +1038,16 @@ std::string SerializeHab(const compiler::Artifact& a, const HabMeta& meta) {
   out += table.str();
   out += payloads;
   return out;
+}
+
+}  // namespace
+
+std::string SerializeHab(const compiler::Artifact& a, const HabMeta& meta) {
+  return SerializeHabImpl(a, meta, /*scrub_wall_ns=*/false);
+}
+
+std::string SerializeHabForDiff(const compiler::Artifact& a) {
+  return SerializeHabImpl(a, {}, /*scrub_wall_ns=*/true);
 }
 
 Result<ParsedHab> ParseHab(std::span<const u8> data) {
@@ -1215,8 +1230,8 @@ Result<ParsedHab> ParseHab(std::span<const u8> data) {
 
 Status SaveHab(const compiler::Artifact& artifact, const HabMeta& meta,
                const std::string& path) {
-  // Atomic publish, mirroring cache::SaveArtifact: concurrent writers race
-  // on the same path; rename makes readers see nothing or a complete file.
+  // Atomic publish: concurrent writers race on the same path; rename makes
+  // readers see nothing or a complete file.
   const std::string tmp =
       path + StrFormat(".tmp.%d", static_cast<int>(::getpid()));
   {

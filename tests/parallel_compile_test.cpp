@@ -3,10 +3,10 @@
 // CompileKernels").
 //
 // The contract under test: compile_threads changes wall-clock only. For
-// every model x config, the artifact_serialize text form at thread counts
-// {2, 4, 8} is byte-identical to compile_threads=1 (kernel names, order,
-// schedules, size report and pass-timeline shape; wall-clock fields
-// excluded via SerializeArtifactForDiff), and ParallelFor returns the same
+// every model x config, the HAB diff form at thread counts {2, 4, 8} is
+// byte-identical to compile_threads=1 (kernel names, order, schedules, size
+// report and pass-timeline shape; wall-clock fields excluded via
+// vm::SerializeHabForDiff), and ParallelFor returns the same
 // error the sequential loop would. The stress test runs N compiler threads
 // over one shared PassManager + ArtifactCache while M threads hammer the
 // cache — the TSan CI job runs this file to prove the pass is race-free.
@@ -16,7 +16,6 @@
 #include <thread>
 
 #include "cache/artifact_cache.hpp"
-#include "cache/artifact_serialize.hpp"
 #include "compiler/compile_passes.hpp"
 #include "compiler/pipeline.hpp"
 #include "models/layer_zoo.hpp"
@@ -24,6 +23,7 @@
 #include "support/rng.hpp"
 #include "support/string_utils.hpp"
 #include "support/thread_pool.hpp"
+#include "vm/hab.hpp"
 
 namespace htvm {
 namespace {
@@ -67,7 +67,7 @@ std::string CompileDiffText(const Graph& network,
   options.compile_threads = threads;
   auto artifact = compiler::HtvmCompiler{options}.Compile(network);
   if (!artifact.ok()) return "ERROR: " + artifact.status().ToString();
-  return cache::SerializeArtifactForDiff(*artifact);
+  return vm::SerializeHabForDiff(*artifact);
 }
 
 TEST(ParallelCompile, LayerZooDifferentialAcrossThreadCounts) {
@@ -279,7 +279,7 @@ TEST(ParallelCompile, StressSharedPassManagerAndCache) {
       failures.fetch_add(1);
       return;
     }
-    if (cache::SerializeArtifactForDiff(state.artifact) !=
+    if (vm::SerializeHabForDiff(state.artifact) !=
         reference[static_cast<size_t>(model)]) {
       mismatches.fetch_add(1);
     }

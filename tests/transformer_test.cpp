@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "cache/artifact_serialize.hpp"
 #include "compiler/emit.hpp"
 #include "compiler/pipeline.hpp"
 #include "hw/soc.hpp"
@@ -30,6 +29,7 @@
 #include "nn/kernels.hpp"
 #include "runtime/verify.hpp"
 #include "support/rng.hpp"
+#include "vm/hab.hpp"
 
 namespace htvm {
 namespace {
@@ -148,8 +148,7 @@ TEST(TransformerDeterminism, ArtifactIdenticalAcrossCompileThreads) {
   parallel.compile_threads = 4;
   const auto a = MustCompile(net, sequential);
   const auto b = MustCompile(net, parallel);
-  EXPECT_EQ(cache::SerializeArtifactForDiff(a),
-            cache::SerializeArtifactForDiff(b));
+  EXPECT_EQ(vm::SerializeHabForDiff(a), vm::SerializeHabForDiff(b));
 }
 
 TEST(TransformerDeterminism, OutputsBitExactAcrossScheduleStrategies) {

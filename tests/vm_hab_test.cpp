@@ -6,9 +6,11 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <utility>
+#include <vector>
 
 #include "cache/artifact_cache.hpp"
-#include "cache/artifact_serialize.hpp"
 #include "compiler/pipeline.hpp"
 #include "hw/soc.hpp"
 #include "models/mlperf_tiny.hpp"
@@ -39,40 +41,201 @@ struct TempDir {
   }
 };
 
-compiler::Artifact CompileDsCnn() {
-  Graph g = models::BuildDsCnn(models::PrecisionPolicy::kMixed);
-  auto artifact = compiler::HtvmCompiler{{}}.Compile(g);
+compiler::Artifact MustCompile(const Graph& g,
+                               const compiler::CompileOptions& options = {}) {
+  auto artifact = compiler::HtvmCompiler{options}.Compile(g);
   HTVM_CHECK(artifact.ok());
   return std::move(*artifact);
 }
 
+compiler::Artifact CompileDsCnn() {
+  return MustCompile(models::BuildDsCnn(models::PrecisionPolicy::kMixed));
+}
+
+Result<ParsedHab> Parse(const std::string& bytes) {
+  return ParseHab({reinterpret_cast<const u8*>(bytes.data()), bytes.size()});
+}
+
 TEST(Hab, RoundTripIsBitIdentical) {
-  const compiler::Artifact a = CompileDsCnn();
-  HabMeta meta;
-  meta.model_name = "dscnn";
-  meta.producer = "test";
-  const std::string bytes = SerializeHab(a, meta);
-  ASSERT_TRUE(LooksLikeHab(bytes));
+  // Every MLPerf Tiny model x a heterogeneous and a digital-only config:
+  // serialize, parse back (ParseHab validates the kernel graph),
+  // re-serialize — the two images must be byte-identical.
+  for (const auto& m : models::MlperfTinySuite()) {
+    for (const auto& [cfg, options] :
+         {std::pair<const char*, compiler::CompileOptions>{
+              "mixed", compiler::CompileOptions{}},
+          {"digital", compiler::CompileOptions::DigitalOnly()}}) {
+      const compiler::Artifact a =
+          MustCompile(m.build(models::PrecisionPolicy::kMixed), options);
+      HabMeta meta;
+      meta.model_name = m.name;
+      meta.producer = "test";
+      const std::string bytes = SerializeHab(a, meta);
+      ASSERT_TRUE(LooksLikeHab(bytes));
 
-  auto parsed = ParseHab({reinterpret_cast<const u8*>(bytes.data()),
-                          bytes.size()});
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->meta.model_name, "dscnn");
-  EXPECT_EQ(parsed->meta.producer, "test");
+      auto parsed = Parse(bytes);
+      ASSERT_TRUE(parsed.ok())
+          << m.name << "/" << cfg << ": " << parsed.status().ToString();
+      EXPECT_EQ(parsed->meta.model_name, m.name);
+      EXPECT_EQ(parsed->meta.producer, "test");
+      EXPECT_EQ(SerializeHab(parsed->artifact, parsed->meta), bytes)
+          << m.name << "/" << cfg;
+    }
+  }
+}
 
-  // The strongest identity check the repo has: the v1 diff form of the
-  // reparsed artifact matches the original field for field.
-  EXPECT_EQ(cache::SerializeArtifactForDiff(parsed->artifact),
-            cache::SerializeArtifactForDiff(a));
-  // And the binary form itself is deterministic + stable across a cycle.
-  EXPECT_EQ(SerializeHab(parsed->artifact, parsed->meta), bytes);
+// The round trip above only proves what SerializeHab writes. This pins what
+// it writes: perturbing any one field of a compiled artifact must change
+// the diff bytes, and perturbing pass wall-clock must not.
+TEST(Hab, DiffFormSeesEveryArtifactField) {
+  compiler::CompileOptions options;
+  // Graph-level search, so the artifact carries a non-empty plan.
+  options.schedule_search.kind = dory::ScheduleSearchKind::kGraphBeam;
+  const compiler::Artifact base = MustCompile(
+      models::BuildDsCnn(models::PrecisionPolicy::kMixed), options);
+  ASSERT_FALSE(base.plan.empty());
+  ASSERT_FALSE(base.memory_plan.buffers.empty());
+  ASSERT_FALSE(base.dispatch_log.empty());
+  ASSERT_FALSE(base.pass_timeline.empty());
+
+  size_t scheduled = base.kernels.size();
+  for (size_t i = 0; i < base.kernels.size(); ++i) {
+    if (base.kernels[i].schedule.has_value() &&
+        !base.kernels[i].schedule->steps.empty()) {
+      scheduled = i;
+      break;
+    }
+  }
+  ASSERT_LT(scheduled, base.kernels.size());
+  // Weights live in the composite bodies: find one body constant and one
+  // body op with an integer attr.
+  NodeId const_composite = kInvalidNode;
+  NodeId body_const = kInvalidNode;
+  NodeId attr_composite = kInvalidNode;
+  NodeId body_op = kInvalidNode;
+  std::string body_attr;
+  for (const Node& n : base.kernel_graph.nodes()) {
+    if (n.kind != NodeKind::kComposite) continue;
+    for (const Node& b : n.body->nodes()) {
+      if (b.kind == NodeKind::kConstant && b.value.SizeBytes() > 0 &&
+          body_const == kInvalidNode) {
+        const_composite = n.id;
+        body_const = b.id;
+      }
+      for (const auto& [key, value] : b.attrs.values()) {
+        if (attr_composite != kInvalidNode) break;
+        if (!std::holds_alternative<i64>(value)) continue;
+        attr_composite = n.id;
+        body_op = b.id;
+        body_attr = key;
+      }
+    }
+  }
+  ASSERT_NE(body_const, kInvalidNode);
+  ASSERT_NE(body_op, kInvalidNode);
+  // Composite bodies are shared between artifact copies: edit a clone.
+  const auto edit_body = [](compiler::Artifact& a, NodeId composite,
+                            const std::function<void(Graph&)>& edit) {
+    Node& node = a.kernel_graph.mutable_node(composite);
+    auto body = std::make_shared<Graph>(*node.body);
+    edit(*body);
+    node.body = std::move(body);
+  };
+
+  using Perturb = std::function<void(compiler::Artifact&)>;
+  std::vector<std::pair<std::string, Perturb>> fields = {
+      {"kernel name", [](auto& a) { a.kernels[0].name += "'"; }},
+      {"kernel target",
+       [](auto& a) {
+         a.kernels[0].target = a.kernels[0].target == "cpu" ? "digital" : "cpu";
+       }},
+      {"kernel node", [](auto& a) { a.kernels[0].node += 1; }},
+      {"kernel code_bytes", [](auto& a) { a.kernels[0].code_bytes += 1; }},
+      {"kernel weight_bytes", [](auto& a) { a.kernels[0].weight_bytes += 1; }},
+      {"perf name", [](auto& a) { a.kernels[0].perf.name += "'"; }},
+      {"perf target", [](auto& a) { a.kernels[0].perf.target += "'"; }},
+      {"schedule tile",
+       [&](auto& a) { a.kernels[scheduled].schedule->solution.k_t += 1; }},
+      {"schedule step",
+       [&](auto& a) {
+         a.kernels[scheduled].schedule->steps[0].compute_cycles += 1;
+       }},
+      {"schedule spec",
+       [&](auto& a) { a.kernels[scheduled].schedule->spec.c += 1; }},
+      {"schedule options",
+       [&](auto& a) { a.kernels[scheduled].schedule->options.alpha += 0.5; }},
+      {"mem-plan buffer",
+       [](auto& a) { a.memory_plan.buffers[0].offset += 8; }},
+      {"mem-plan arena", [](auto& a) { a.memory_plan.arena_bytes += 1; }},
+      {"dispatch reason", [](auto& a) { a.dispatch_log[0].reason += "'"; }},
+      {"pass name", [](auto& a) { a.pass_timeline[0].name += "'"; }},
+      {"pass nodes_before",
+       [](auto& a) { a.pass_timeline[0].nodes_before += 1; }},
+      {"pass nodes_after",
+       [](auto& a) { a.pass_timeline[0].nodes_after += 1; }},
+      {"pass skipped",
+       [](auto& a) {
+         a.pass_timeline[0].skipped = !a.pass_timeline[0].skipped;
+       }},
+      {"size runtime", [](auto& a) { a.size.runtime_bytes += 1; }},
+      {"size code", [](auto& a) { a.size.code_bytes += 1; }},
+      {"size weight", [](auto& a) { a.size.weight_bytes += 1; }},
+      {"hw l1", [](auto& a) { a.hw_config.l1_bytes += 1; }},
+      {"hw dma", [](auto& a) { a.hw_config.dma.setup_cycles += 1; }},
+      {"hw digital", [](auto& a) { a.hw_config.digital.pe_rows += 1; }},
+      {"hw analog", [](auto& a) { a.hw_config.analog.array_rows += 1; }},
+      {"hw cpu", [](auto& a) { a.hw_config.cpu.conv_cycles_per_mac += 0.5; }},
+      {"soc_name", [](auto& a) { a.soc_name = "diana-l2x2"; }},
+      {"plan decision",
+       [](auto& a) {
+         a.plan.decisions[0].fuse_with_next =
+             !a.plan.decisions[0].fuse_with_next;
+       }},
+      {"plan soc", [](auto& a) { a.plan.soc_name = "diana-l2x2"; }},
+      {"body constant byte",
+       [&](auto& a) {
+         edit_body(a, const_composite, [&](Graph& body) {
+           body.mutable_node(body_const).value.raw()[0] ^= 1;
+         });
+       }},
+      {"body op attr",
+       [&](auto& a) {
+         edit_body(a, attr_composite, [&](Graph& body) {
+           AttrMap& attrs = body.mutable_node(body_op).attrs;
+           attrs.Set(body_attr, attrs.GetInt(body_attr) + 1);
+         });
+       }},
+  };
+  for (i64 hw::KernelPerf::*counter :
+       {&hw::KernelPerf::macs, &hw::KernelPerf::peak_cycles,
+        &hw::KernelPerf::full_cycles, &hw::KernelPerf::compute_cycles,
+        &hw::KernelPerf::weight_dma_cycles, &hw::KernelPerf::act_dma_cycles,
+        &hw::KernelPerf::overhead_cycles, &hw::KernelPerf::tiles}) {
+    fields.emplace_back("perf counter", [counter](compiler::Artifact& a) {
+      a.kernels[0].perf.*counter += 1;
+    });
+  }
+
+  const std::string reference = SerializeHabForDiff(base);
+  for (const auto& [field, perturb] : fields) {
+    compiler::Artifact perturbed = base;
+    perturb(perturbed);
+    EXPECT_NE(SerializeHabForDiff(perturbed), reference)
+        << field << " is invisible to the diff form";
+  }
+  // The perturbations worked on copies: the base artifact is untouched.
+  EXPECT_EQ(SerializeHabForDiff(base), reference);
+
+  // Wall-clock is measurement, not content.
+  compiler::Artifact retimed = base;
+  for (compiler::PassStat& p : retimed.pass_timeline) p.wall_ns += 12345;
+  EXPECT_EQ(SerializeHabForDiff(retimed), reference);
+  EXPECT_NE(SerializeHab(retimed), SerializeHab(base));
 }
 
 TEST(Hab, SectionTableIsComplete) {
   const compiler::Artifact a = CompileDsCnn();
-  const std::string bytes = SerializeHab(a);
-  auto parsed = ParseHab({reinterpret_cast<const u8*>(bytes.data()),
-                          bytes.size()});
+  auto parsed = Parse(SerializeHab(a));
   ASSERT_TRUE(parsed.ok());
   // A default-SoC (diana) artifact has no kSoc section: the byte format is
   // identical to what pre-SoC-family writers produced.
@@ -96,16 +259,13 @@ TEST(Hab, SocIdentityRoundTrips) {
   ASSERT_EQ(compiled->soc_name, "diana-l1half");
 
   const std::string bytes = SerializeHab(*compiled);
-  auto parsed = ParseHab({reinterpret_cast<const u8*>(bytes.data()),
-                          bytes.size()});
+  auto parsed = Parse(bytes);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   ASSERT_EQ(parsed->sections.size(), 9u);
   EXPECT_EQ(parsed->sections.back().id,
             static_cast<u32>(HabSection::kSoc));
   EXPECT_EQ(parsed->artifact.soc_name, "diana-l1half");
   EXPECT_EQ(SerializeHab(parsed->artifact, parsed->meta), bytes);
-  EXPECT_EQ(cache::SerializeArtifactForDiff(parsed->artifact),
-            cache::SerializeArtifactForDiff(*compiled));
 }
 
 TEST(Hab, FileRoundTripThroughLoader) {
@@ -120,8 +280,8 @@ TEST(Hab, FileRoundTripThroughLoader) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_TRUE(loaded->zero_copy_source());
   EXPECT_GT(loaded->file_bytes(), 0);
-  EXPECT_EQ(cache::SerializeArtifactForDiff(loaded->artifact()),
-            cache::SerializeArtifactForDiff(a));
+  EXPECT_EQ(SerializeHab(loaded->artifact(), loaded->meta()),
+            SerializeHab(a, meta));
 }
 
 TEST(Hab, MissingFileIsNotFound) {
@@ -175,32 +335,36 @@ TEST(Hab, TensorFileRoundTrip) {
             StatusCode::kInvalidArgument);
 }
 
-TEST(Hab, CacheWritesV2AndStillReadsV1) {
+TEST(Hab, CacheTreatsV1TextAsAMissAndReplacesItWithHab) {
   TempDir dir;
   const compiler::Artifact a = CompileDsCnn();
-
-  // New entries land on disk as HAB binaries...
-  cache::ArtifactCache fresh({.dir = dir.path.string()});
-  fresh.Store("model-a", a);
-  {
-    std::ifstream in(dir.file("model-a.htvmart"), std::ios::binary);
-    ASSERT_TRUE(in.good());
+  const std::string path = dir.file("model.htvmart");
+  const auto file_head = [&path] {
+    std::ifstream in(path, std::ios::binary);
     std::string head(8, '\0');
     in.read(head.data(), 8);
-    EXPECT_TRUE(LooksLikeHab(head));
-  }
+    return head;
+  };
 
-  // ...and a v1 text file left by an older build still loads (migration).
-  ASSERT_TRUE(cache::SaveArtifact(a, dir.file("model-b.htvmart")).ok());
+  // A v1 text file left by an older build is not an artifact this build
+  // reads: the lookup misses...
+  std::ofstream(path) << "htvm-artifact v1\nhw 1 2\nend\n";
+  cache::ArtifactCache cache({.dir = dir.path.string()});
+  EXPECT_EQ(cache.Lookup("model"), nullptr);
+  EXPECT_EQ(cache.stats().misses, 1);
+  EXPECT_FALSE(LooksLikeHab(file_head()));
+
+  // ...the store after the recompile overwrites it with a HAB...
+  cache.Store("model", a);
+  EXPECT_EQ(cache.stats().disk_writes, 1);
+  EXPECT_TRUE(LooksLikeHab(file_head()));
+
+  // ...which the next process serves from disk.
   cache::ArtifactCache reader({.dir = dir.path.string()});
-  auto from_v2 = reader.Lookup("model-a");
-  auto from_v1 = reader.Lookup("model-b");
-  ASSERT_NE(from_v2, nullptr);
-  ASSERT_NE(from_v1, nullptr);
-  EXPECT_EQ(cache::SerializeArtifactForDiff(*from_v2),
-            cache::SerializeArtifactForDiff(a));
-  EXPECT_EQ(cache::SerializeArtifactForDiff(*from_v1),
-            cache::SerializeArtifactForDiff(a));
+  auto hit = reader.Lookup("model");
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(reader.stats().disk_hits, 1);
+  EXPECT_EQ(SerializeHab(*hit), SerializeHab(a));
 }
 
 TEST(Hab, CorruptCacheFileDegradesToMiss) {
