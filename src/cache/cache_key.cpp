@@ -4,7 +4,7 @@ namespace htvm::cache {
 namespace {
 
 // v2: SoC identity (name, accelerator presence, CPU SIMD class) joined the
-// fingerprint. The geometry (HashHwConfig) was always hashed, but two
+// fingerprint. The DianaConfig geometry was always hashed, but two
 // registered SoCs with identical geometry would previously collide on one
 // entry — and a wrong-SoC artifact would be served as a hit.
 // v3: schedule-search options joined (kind + beam/evolutionary knobs) — a
@@ -16,64 +16,13 @@ namespace {
 // one, and the searched GraphPlan is memoized next to the TileSolutions.
 constexpr u64 kOptionsFingerprintVersion = 4;
 
-void HashDmaConfig(ir::Hasher& h, const hw::DmaConfig& c) {
-  h.Add(c.setup_cycles).Add(c.bytes_per_cycle).Add(c.row_setup_cycles);
-}
-
-void HashDigitalConfig(ir::Hasher& h, const hw::DigitalConfig& c) {
-  h.Add(c.pe_rows)
-      .Add(c.pe_cols)
-      .Add(c.weight_mem_bytes)
-      .Add(c.dw_mac_num)
-      .Add(c.dw_mac_den)
-      .Add(c.tile_setup_cycles)
-      .Add(c.post_simd_lanes)
-      .AddDouble(c.dw_marshal_cycles_per_elem);
-}
-
-void HashAnalogConfig(ir::Hasher& h, const hw::AnalogConfig& c) {
-  h.Add(c.array_rows)
-      .Add(c.array_cols)
-      .Add(c.weight_mem_bytes)
-      .Add(c.layer_setup_cycles)
-      .Add(c.row_write_cycles)
-      .Add(c.cycles_per_pixel)
-      .Add(c.tile_setup_cycles)
-      .Add(c.input_bits);
-}
-
-void HashCpuConfig(ir::Hasher& h, const hw::CpuConfig& c) {
-  h.AddDouble(c.conv_cycles_per_mac)
-      .AddDouble(c.dwconv_cycles_per_mac)
-      .AddDouble(c.dense_cycles_per_mac)
-      .AddDouble(c.elemwise_cycles_per_elem)
-      .AddDouble(c.pool_cycles_per_elem)
-      .AddDouble(c.softmax_cycles_per_elem)
-      .AddDouble(c.requant_cycles_per_elem)
-      .Add(c.kernel_overhead_cycles)
-      .AddDouble(c.tuned_library_speedup);
-}
-
-void HashHwConfig(ir::Hasher& h, const hw::DianaConfig& c) {
-  h.Add(c.l1_bytes)
-      .Add(c.l2_bytes)
-      .AddDouble(c.freq_mhz)
-      .Add(c.runtime_call_overhead);
-  HashDmaConfig(h, c.dma);
-  HashDigitalConfig(h, c.digital);
-  HashAnalogConfig(h, c.analog);
-  HashCpuConfig(h, c.cpu);
-}
-
-void HashTilerOptions(ir::Hasher& h, const dory::TilerOptions& t) {
-  h.AddDouble(t.alpha)
-      .AddDouble(t.beta_pe)
-      .AddDouble(t.beta_dma)
-      .Add(t.enable_pe_heuristics)
-      .Add(t.enable_dma_heuristic)
-      .Add(t.double_buffer)
-      .Add(t.l1_budget_bytes);
-}
+// Field visitor (hw::Fields, dory::Fields) feeding an ir::Hasher.
+struct HashFields {
+  ir::Hasher& h;
+  void operator()(i64 v) { h.Add(v); }
+  void operator()(double v) { h.AddDouble(v); }
+  void operator()(bool v) { h.Add(v); }
+};
 
 void HashScheduleSearch(ir::Hasher& h, const dory::ScheduleSearchOptions& s) {
   h.Add(static_cast<i64>(s.kind))
@@ -112,7 +61,8 @@ ir::Hash128 OptionsFingerprint(const compiler::CompileOptions& options) {
       .Add(options.dispatch.enable_analog)
       .Add(options.dispatch.enable_tuned_cpu_library)
       .Add(options.plain_tvm);
-  HashTilerOptions(h, options.tiler);
+  HashFields fields{h};
+  Fields(fields, options.tiler);
   HashScheduleSearch(h, options.schedule_search);
   HashSizeModel(h, options.size_model);
   // SoC identity first (name + presence flags + SIMD class), then the full
@@ -122,7 +72,7 @@ ir::Hash128 OptionsFingerprint(const compiler::CompileOptions& options) {
       .Add(options.soc.has_digital)
       .Add(options.soc.has_analog)
       .Add(static_cast<i64>(options.soc.simd));
-  HashHwConfig(h, options.soc.config);
+  Fields(fields, options.soc.config);
   // options.instrument, options.cache and options.compile_threads are
   // intentionally absent: IR dumping, validation, the cache wiring and the
   // CompileKernels lane count never change the artifact (the last is the

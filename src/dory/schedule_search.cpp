@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <limits>
 #include <map>
 #include <numeric>
@@ -415,19 +416,19 @@ u64 ScheduleSearchProblemFingerprint(const AccelLayerSpec& spec,
                                      const ScheduleSearchOptions& search) {
   // FNV-1a 64 over every field that changes the candidate set, the scoring
   // or the search trajectory.
-  u64 h = 14695981039346656037ull;
-  const auto fold = [&h](u64 v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xff;
-      h *= 1099511628211ull;
+  struct Fnv {
+    u64 h = 14695981039346656037ull;
+    void operator()(u64 v) {
+      for (int i = 0; i < 8; ++i) {
+        h ^= (v >> (i * 8)) & 0xff;
+        h *= 1099511628211ull;
+      }
     }
-  };
-  const auto fold_d = [&fold](double d) {
-    u64 bits;
-    static_assert(sizeof(bits) == sizeof(d));
-    __builtin_memcpy(&bits, &d, sizeof(bits));
-    fold(bits);
-  };
+    // Field visitor (dory::Fields) over the same fold.
+    void operator()(i64 v) { (*this)(static_cast<u64>(v)); }
+    void operator()(double v) { (*this)(std::bit_cast<u64>(v)); }
+    void operator()(bool v) { (*this)(u64{v}); }
+  } fold;
   fold(static_cast<u64>(spec.kind));
   fold(static_cast<u64>(spec.c));
   fold(static_cast<u64>(spec.iy));
@@ -444,13 +445,7 @@ u64 ScheduleSearchProblemFingerprint(const AccelLayerSpec& spec,
   fold(static_cast<u64>(spec.pad_b));
   fold(static_cast<u64>(spec.pad_r));
   fold(static_cast<u64>(target));
-  fold_d(tiler.alpha);
-  fold_d(tiler.beta_pe);
-  fold_d(tiler.beta_dma);
-  fold(tiler.enable_pe_heuristics ? 1 : 0);
-  fold(tiler.enable_dma_heuristic ? 1 : 0);
-  fold(tiler.double_buffer ? 1 : 0);
-  fold(static_cast<u64>(tiler.l1_budget_bytes));
+  Fields(fold, tiler);
   fold(static_cast<u64>(search.kind));
   fold(static_cast<u64>(search.beam_width));
   fold(static_cast<u64>(search.population));
@@ -458,7 +453,7 @@ u64 ScheduleSearchProblemFingerprint(const AccelLayerSpec& spec,
   fold(static_cast<u64>(search.elites));
   fold(search.seed);
   fold(static_cast<u64>(search.plan_finalists));
-  return h;
+  return fold.h;
 }
 
 Result<AccelSchedule> SearchSchedule(const AccelLayerSpec& spec,

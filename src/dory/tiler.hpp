@@ -54,6 +54,20 @@ struct TilerOptions {
   i64 l1_budget_bytes = -1;   // -1 = full configured L1
 };
 
+// The one TilerOptions field list, walked by the HAB kernels section (each
+// schedule carries its options), the cache options fingerprint and
+// ScheduleSearchProblemFingerprint.
+template <class V, FieldsOf<TilerOptions> T>
+void Fields(V& v, T& t) {
+  v(t.alpha);
+  v(t.beta_pe);
+  v(t.beta_dma);
+  v(t.enable_pe_heuristics);
+  v(t.enable_dma_heuristic);
+  v(t.double_buffer);
+  v(t.l1_budget_bytes);
+}
+
 struct TileSolution {
   // Tile sizes (<= layer dims). For conv kinds iy_t/ix_t derive from the
   // output tile via iy_t = (oy_t-1)*sy + kh.

@@ -103,4 +103,44 @@ struct DianaConfig {
   }
 };
 
+// The one DianaConfig field list, in the order the HAB hw-config section,
+// SocDescription::Fingerprint and the cache options fingerprint all walk.
+// A new field goes here and nowhere else; appending it changes the HAB
+// hw-config bytes and both fingerprints together.
+template <class V, FieldsOf<DianaConfig> T>
+void Fields(V& v, T& c) {
+  v(c.l1_bytes);
+  v(c.l2_bytes);
+  v(c.freq_mhz);
+  v(c.runtime_call_overhead);
+  v(c.dma.setup_cycles);
+  v(c.dma.bytes_per_cycle);
+  v(c.dma.row_setup_cycles);
+  v(c.digital.pe_rows);
+  v(c.digital.pe_cols);
+  v(c.digital.weight_mem_bytes);
+  v(c.digital.dw_mac_num);
+  v(c.digital.dw_mac_den);
+  v(c.digital.tile_setup_cycles);
+  v(c.digital.post_simd_lanes);
+  v(c.digital.dw_marshal_cycles_per_elem);
+  v(c.analog.array_rows);
+  v(c.analog.array_cols);
+  v(c.analog.weight_mem_bytes);
+  v(c.analog.layer_setup_cycles);
+  v(c.analog.row_write_cycles);
+  v(c.analog.cycles_per_pixel);
+  v(c.analog.tile_setup_cycles);
+  v(c.analog.input_bits);
+  v(c.cpu.conv_cycles_per_mac);
+  v(c.cpu.dwconv_cycles_per_mac);
+  v(c.cpu.dense_cycles_per_mac);
+  v(c.cpu.elemwise_cycles_per_elem);
+  v(c.cpu.pool_cycles_per_elem);
+  v(c.cpu.softmax_cycles_per_elem);
+  v(c.cpu.requant_cycles_per_elem);
+  v(c.cpu.kernel_overhead_cycles);
+  v(c.cpu.tuned_library_speedup);
+}
+
 }  // namespace htvm::hw

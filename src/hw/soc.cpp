@@ -16,10 +16,11 @@ struct Fnv {
       state *= 0x100000001b3ull;
     }
   }
-  void I64(i64 v) { Bytes(&v, sizeof v); }
-  void F64(double v) { Bytes(&v, sizeof v); }
-  void Str(const std::string& s) {
-    I64(static_cast<i64>(s.size()));
+  // Field visitor (hw::Fields): each value's raw bytes.
+  void operator()(i64 v) { Bytes(&v, sizeof v); }
+  void operator()(double v) { Bytes(&v, sizeof v); }
+  void operator()(const std::string& s) {
+    (*this)(static_cast<i64>(s.size()));
     Bytes(s.data(), s.size());
   }
 };
@@ -87,43 +88,11 @@ const char* CpuSimdClassName(CpuSimdClass simd) {
 
 u64 SocDescription::Fingerprint() const {
   Fnv f;
-  f.Str(name);
-  f.I64(has_digital ? 1 : 0);
-  f.I64(has_analog ? 1 : 0);
-  f.I64(static_cast<i64>(simd));
-  const DianaConfig& c = config;
-  f.I64(c.l1_bytes);
-  f.I64(c.l2_bytes);
-  f.F64(c.freq_mhz);
-  f.I64(c.runtime_call_overhead);
-  f.I64(c.dma.setup_cycles);
-  f.I64(c.dma.bytes_per_cycle);
-  f.I64(c.dma.row_setup_cycles);
-  f.I64(c.digital.pe_rows);
-  f.I64(c.digital.pe_cols);
-  f.I64(c.digital.weight_mem_bytes);
-  f.I64(c.digital.dw_mac_num);
-  f.I64(c.digital.dw_mac_den);
-  f.I64(c.digital.tile_setup_cycles);
-  f.I64(c.digital.post_simd_lanes);
-  f.F64(c.digital.dw_marshal_cycles_per_elem);
-  f.I64(c.analog.array_rows);
-  f.I64(c.analog.array_cols);
-  f.I64(c.analog.weight_mem_bytes);
-  f.I64(c.analog.layer_setup_cycles);
-  f.I64(c.analog.row_write_cycles);
-  f.I64(c.analog.cycles_per_pixel);
-  f.I64(c.analog.tile_setup_cycles);
-  f.I64(c.analog.input_bits);
-  f.F64(c.cpu.conv_cycles_per_mac);
-  f.F64(c.cpu.dwconv_cycles_per_mac);
-  f.F64(c.cpu.dense_cycles_per_mac);
-  f.F64(c.cpu.elemwise_cycles_per_elem);
-  f.F64(c.cpu.pool_cycles_per_elem);
-  f.F64(c.cpu.softmax_cycles_per_elem);
-  f.F64(c.cpu.requant_cycles_per_elem);
-  f.I64(c.cpu.kernel_overhead_cycles);
-  f.F64(c.cpu.tuned_library_speedup);
+  f(name);
+  f(i64{has_digital});
+  f(i64{has_analog});
+  f(static_cast<i64>(simd));
+  Fields(f, config);
   return f.state;
 }
 

@@ -53,6 +53,28 @@ std::vector<i64> AttrMap::GetIntVec(const std::string& key,
   return v ? *v : def;
 }
 
+Status CheckAttrTypes(const AttrMap& attrs) {
+  // A value of the alternative each well-known key's getter expects.
+  static const std::map<std::string, AttrValue> kTypes = [] {
+    const AttrValue i = i64{0}, s = std::string(), v = std::vector<i64>();
+    return std::map<std::string, AttrValue>{
+        {"a_max", i},     {"a_min", i},   {"axes", v},       {"axis", i},
+        {"dtype", s},     {"groups", i},  {"kernel_lib", s}, {"new_shape", v},
+        {"pad_width", v}, {"padding", v}, {"pool_size", v},  {"strides", v},
+        {"target", s},    {"transpose_b", i},
+    };
+  }();
+  for (const auto& [key, value] : attrs.values()) {
+    auto it = kTypes.find(key);
+    if (it != kTypes.end() && value.index() != it->second.index()) {
+      return Status::InvalidArgument(StrFormat(
+          "attribute %s has the wrong type (%s)", key.c_str(),
+          AttrValueToString(value).c_str()));
+    }
+  }
+  return Status::Ok();
+}
+
 bool AttrMap::Matches(const std::string& key, const AttrValue& expected) const {
   auto it = values_.find(key);
   return it != values_.end() && it->second == expected;

@@ -33,7 +33,7 @@ class AttrMap {
 
   // Typed getters; fall back to `def` when the key is absent. A present key
   // with the wrong variant alternative is a hard error (graph construction
-  // bug, not input data).
+  // bug, not input data: graphs from outside pass CheckAttrTypes first).
   i64 GetInt(const std::string& key, i64 def = 0) const;
   bool GetBool(const std::string& key, bool def = false) const;
   double GetDouble(const std::string& key, double def = 0.0) const;
@@ -53,5 +53,12 @@ class AttrMap {
  private:
   std::map<std::string, AttrValue> values_;
 };
+
+// InvalidArgument when a well-known key (one the compiler reads through a
+// typed getter, e.g. "strides" or "a_min") holds another variant
+// alternative than its getter expects. Graph::TryAddOp and the HAB graph
+// reader run it, so an external graph with a mistyped attribute is a typed
+// error instead of an abort in a later getter. Unknown keys pass.
+Status CheckAttrTypes(const AttrMap& attrs);
 
 }  // namespace htvm

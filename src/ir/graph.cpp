@@ -42,6 +42,7 @@ Result<NodeId> Graph::TryAddOp(const std::string& op,
         StrFormat("op %s expects %d inputs, got %zu", op.c_str(), def->arity,
                   inputs.size()));
   }
+  HTVM_RETURN_IF_ERROR(CheckAttrTypes(attrs));
   std::vector<TensorType> in_types;
   in_types.reserve(inputs.size());
   for (NodeId in : inputs) {

@@ -42,12 +42,38 @@ Status ExpectRank(const TensorType& t, i64 rank, const char* what) {
 
 // Normalizes padding attr: accepts [p] (all sides), [py, px], or
 // [pt, pl, pb, pr]; returns the 4-element form.
-std::vector<i64> NormalizePadding(const AttrMap& attrs) {
+Result<std::vector<i64>> NormalizePadding(const AttrMap& attrs) {
   std::vector<i64> p = attrs.GetIntVec("padding", {0, 0, 0, 0});
-  if (p.size() == 1) return {p[0], p[0], p[0], p[0]};
-  if (p.size() == 2) return {p[0], p[1], p[0], p[1]};
-  HTVM_CHECK_MSG(p.size() == 4, "padding must have 1, 2 or 4 entries");
+  if (p.size() == 1) return std::vector<i64>{p[0], p[0], p[0], p[0]};
+  if (p.size() == 2) return std::vector<i64>{p[0], p[1], p[0], p[1]};
+  if (p.size() != 4) {
+    return Status::InvalidArgument("padding must have 1, 2 or 4 entries");
+  }
   return p;
+}
+
+// Output height and width of a sliding window. Graph text and HAB payloads
+// may carry any window, so its shape is checked here: ConvOutDim asserts it.
+Result<std::pair<i64, i64>> WindowOutDims(const char* op, const Shape& data,
+                                          i64 kh, i64 kw,
+                                          const std::vector<i64>& strides,
+                                          const AttrMap& attrs) {
+  HTVM_ASSIGN_OR_RETURN(pad, NormalizePadding(attrs));
+  if (strides.size() < 2) {
+    return Status::InvalidArgument(
+        StrFormat("%s: strides must have 2 entries", op));
+  }
+  if (kh <= 0 || kw <= 0 || strides[0] <= 0 || strides[1] <= 0) {
+    return Status::InvalidArgument(
+        StrFormat("%s: window and strides must be positive", op));
+  }
+  const i64 oh = ConvOutDim(data[2], kh, pad[0], pad[2], strides[0]);
+  const i64 ow = ConvOutDim(data[3], kw, pad[1], pad[3], strides[1]);
+  if (oh <= 0 || ow <= 0) {
+    return Status::InvalidArgument(
+        StrFormat("%s: non-positive output dims", op));
+  }
+  return std::pair<i64, i64>{oh, ow};
 }
 
 Result<TensorType> InferConv2d(std::span<const TensorType> in,
@@ -66,14 +92,10 @@ Result<TensorType> InferConv2d(std::span<const TensorType> in,
         static_cast<long long>(w[1]), static_cast<long long>(d[1]),
         static_cast<long long>(groups)));
   }
-  const std::vector<i64> strides = attrs.GetIntVec("strides", {1, 1});
-  const std::vector<i64> pad = NormalizePadding(attrs);
-  const i64 oh = ConvOutDim(d[2], w[2], pad[0], pad[2], strides[0]);
-  const i64 ow = ConvOutDim(d[3], w[3], pad[1], pad[3], strides[1]);
-  if (oh <= 0 || ow <= 0) {
-    return Status::InvalidArgument("conv2d: non-positive output dims");
-  }
-  return TensorType{Shape{d[0], w[0], oh, ow}, DType::kInt32};
+  HTVM_ASSIGN_OR_RETURN(
+      out, WindowOutDims("conv2d", d, w[2], w[3],
+                         attrs.GetIntVec("strides", {1, 1}), attrs));
+  return TensorType{Shape{d[0], w[0], out.first, out.second}, DType::kInt32};
 }
 
 Result<TensorType> InferDense(std::span<const TensorType> in,
@@ -204,14 +226,13 @@ Result<TensorType> InferPool2d(std::span<const TensorType> in,
   HTVM_RETURN_IF_ERROR(ExpectRank(in[0], 4, "pool data"));
   const Shape& d = in[0].shape;
   const std::vector<i64> pool = attrs.GetIntVec("pool_size", {2, 2});
-  const std::vector<i64> strides = attrs.GetIntVec("strides", pool);
-  const std::vector<i64> pad = NormalizePadding(attrs);
-  const i64 oh = ConvOutDim(d[2], pool[0], pad[0], pad[2], strides[0]);
-  const i64 ow = ConvOutDim(d[3], pool[1], pad[1], pad[3], strides[1]);
-  if (oh <= 0 || ow <= 0) {
-    return Status::InvalidArgument("pool2d: non-positive output dims");
+  if (pool.size() < 2) {
+    return Status::InvalidArgument("pool2d: pool_size must have 2 entries");
   }
-  return TensorType{Shape{d[0], d[1], oh, ow}, in[0].dtype};
+  HTVM_ASSIGN_OR_RETURN(
+      out, WindowOutDims("pool2d", d, pool[0], pool[1],
+                         attrs.GetIntVec("strides", pool), attrs));
+  return TensorType{Shape{d[0], d[1], out.first, out.second}, in[0].dtype};
 }
 
 Result<TensorType> InferGlobalAvgPool(std::span<const TensorType> in,

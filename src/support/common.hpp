@@ -3,8 +3,10 @@
 // dedicated header (status, logging, ...).
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <cstddef>
+#include <type_traits>
 
 namespace htvm {
 
@@ -16,6 +18,13 @@ using u8 = std::uint8_t;
 using u16 = std::uint16_t;
 using u32 = std::uint32_t;
 using u64 = std::uint64_t;
+
+// `T` is `Record` or `const Record`. A record declares its field list once,
+// as `template <class V, FieldsOf<Record> T> void Fields(V& v, T& r)`, and
+// that one walk serves the visitors that read the record (serializers,
+// fingerprints) and the ones that fill it in (deserializers).
+template <class T, class Record>
+concept FieldsOf = std::same_as<std::remove_const_t<T>, Record>;
 
 }  // namespace htvm
 

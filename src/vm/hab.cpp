@@ -3,10 +3,13 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
+#include <optional>
+#include <type_traits>
+#include <variant>
 
 #include "support/string_utils.hpp"
 
@@ -27,21 +30,51 @@ constexpr i64 kMaxStringBytes = i64{1} << 20;
 constexpr u32 kMaxSections = 64;
 
 // --- flat little-endian encoding ------------------------------------------
+//
+// Writer and Reader share one visitor vocabulary, so a record's Fields()
+// list (below, or next to the struct for DianaConfig and TilerOptions) is
+// both its encoder and its decoder:
+//   v(x)                      u8 / bool (one byte) / i32 / u32 / i64 / u64 /
+//                             double / string (u32 length + bytes) / record
+//   v.Enum(e, max, what)      one byte, range-checked on read
+//   v.Vec(xs, cap, min, what) u32 count, then each element
+//   v.Optional(x)             presence byte, then the value
 
 class Writer {
  public:
-  void U8(u8 v) { out_.push_back(static_cast<char>(v)); }
-  void U32(u32 v) { Raw(&v, sizeof v); }
-  void U64(u64 v) { Raw(&v, sizeof v); }
-  void I64(i64 v) { U64(static_cast<u64>(v)); }
-  void I32(i32 v) { U32(static_cast<u32>(v)); }
-  void F64(double v) { U64(std::bit_cast<u64>(v)); }
-  void Str(const std::string& s) {
-    U32(static_cast<u32>(s.size()));
+  void operator()(u8 v) { out_.push_back(static_cast<char>(v)); }
+  void operator()(bool v) { (*this)(static_cast<u8>(v ? 1 : 0)); }
+  void operator()(i32 v) { Raw(&v, sizeof v); }
+  void operator()(u32 v) { Raw(&v, sizeof v); }
+  void operator()(i64 v) { Raw(&v, sizeof v); }
+  void operator()(u64 v) { Raw(&v, sizeof v); }
+  void operator()(double v) { Raw(&v, sizeof v); }
+  void operator()(const std::string& s) {
+    (*this)(static_cast<u32>(s.size()));
     Raw(s.data(), s.size());
   }
+  template <class R>
+    requires std::is_class_v<R>
+  void operator()(const R& record) {
+    Fields(*this, record);
+  }
+  template <class E>
+  void Enum(E e, E /*max*/, const char* /*what*/) {
+    (*this)(static_cast<u8>(e));
+  }
+  template <class T>
+  void Vec(const std::vector<T>& xs, i64 /*cap*/, i64 /*min_record_bytes*/,
+           const char* /*what*/) {
+    (*this)(static_cast<u32>(xs.size()));
+    for (const T& x : xs) (*this)(x);
+  }
+  template <class T>
+  void Optional(const std::optional<T>& x) {
+    (*this)(x.has_value());
+    if (x.has_value()) (*this)(*x);
+  }
   void Bytes(const u8* data, i64 size) {
-    U64(static_cast<u64>(size));
+    (*this)(static_cast<u64>(size));
     Raw(data, static_cast<size_t>(size));
   }
   const std::string& str() const { return out_; }
@@ -53,631 +86,463 @@ class Writer {
   std::string out_;
 };
 
-// Bounds-checked reader over one section payload. Every getter fails with a
-// typed status on overrun instead of reading past the mapped range.
+// Bounds-checked reader over one section payload. Sticky: the first
+// overrun or range failure is kept as a typed InvalidArgument and every
+// later read is a no-op that leaves its target untouched, so a decoder
+// walks its whole field list and checks status() only where a value
+// drives control flow or reaches an API with its own preconditions.
 class Reader {
  public:
   Reader(const u8* data, size_t size, const char* section)
       : data_(data), size_(size), section_(section) {}
 
-  Result<u8> U8() {
-    HTVM_RETURN_IF_ERROR(Need(1));
-    return data_[pos_++];
+  void operator()(u8& v) { Raw(&v, sizeof v); }
+  void operator()(bool& v) {
+    u8 raw = 0;
+    (*this)(raw);
+    v = raw != 0;
   }
-  Result<u32> U32() {
-    HTVM_RETURN_IF_ERROR(Need(4));
-    u32 v;
-    std::memcpy(&v, data_ + pos_, 4);
-    pos_ += 4;
-    return v;
-  }
-  Result<u64> U64() {
-    HTVM_RETURN_IF_ERROR(Need(8));
-    u64 v;
-    std::memcpy(&v, data_ + pos_, 8);
-    pos_ += 8;
-    return v;
-  }
-  Result<i64> I64() {
-    HTVM_ASSIGN_OR_RETURN(v, U64());
-    return static_cast<i64>(v);
-  }
-  Result<i32> I32() {
-    HTVM_ASSIGN_OR_RETURN(v, U32());
-    return static_cast<i32>(v);
-  }
-  Result<double> F64() {
-    HTVM_ASSIGN_OR_RETURN(v, U64());
-    return std::bit_cast<double>(v);
-  }
-  Result<bool> Bool() {
-    HTVM_ASSIGN_OR_RETURN(v, U8());
-    return v != 0;
-  }
-  Result<std::string> Str() {
-    HTVM_ASSIGN_OR_RETURN(n, U32());
+  void operator()(i32& v) { Raw(&v, sizeof v); }
+  void operator()(u32& v) { Raw(&v, sizeof v); }
+  void operator()(i64& v) { Raw(&v, sizeof v); }
+  void operator()(u64& v) { Raw(&v, sizeof v); }
+  void operator()(double& v) { Raw(&v, sizeof v); }
+  void operator()(std::string& s) {
+    u32 n = 0;
+    (*this)(n);
     if (static_cast<i64>(n) > kMaxStringBytes) {
-      return Overrun("string length");
+      return Fail("string length out of range");
     }
-    HTVM_RETURN_IF_ERROR(Need(n));
-    std::string s(reinterpret_cast<const char*>(data_ + pos_), n);
+    if (!Need(n)) return;
+    s.assign(reinterpret_cast<const char*>(data_ + pos_), n);
     pos_ += n;
-    return s;
   }
-  // A declared count of fixed-size records must fit in the bytes left, on
-  // top of the semantic cap — a flipped length field fails here instead of
-  // driving a huge loop.
-  Result<i64> Count(i64 cap, i64 min_record_bytes, const char* what) {
-    HTVM_ASSIGN_OR_RETURN(raw, U32());
+  template <class R>
+    requires std::is_class_v<R>
+  void operator()(R& record) {
+    Fields(*this, record);
+  }
+  template <class E>
+  void Enum(E& e, E max, const char* what) {
+    u8 raw = 0;
+    (*this)(raw);
+    if (raw > static_cast<u8>(max)) {
+      return Fail(StrFormat("bad %s %u", what, raw));
+    }
+    e = static_cast<E>(raw);
+  }
+  template <class T>
+  void Vec(std::vector<T>& xs, i64 cap, i64 min_record_bytes,
+           const char* what) {
+    const i64 n = Count(cap, min_record_bytes, what);
+    xs.reserve(static_cast<size_t>(n));
+    for (i64 i = 0; i < n && ok(); ++i) (*this)(xs.emplace_back());
+  }
+  template <class T>
+  void Optional(std::optional<T>& x) {
+    bool present = false;
+    (*this)(present);
+    if (present && ok()) (*this)(x.emplace());
+  }
+  // A declared count of records must fit in the bytes left, on top of the
+  // semantic cap — a flipped length field fails here instead of driving a
+  // huge loop. 0 once the reader has failed.
+  i64 Count(i64 cap, i64 min_record_bytes, const char* what) {
+    u32 raw = 0;
+    (*this)(raw);
     const i64 n = static_cast<i64>(raw);
     if (n > cap || (min_record_bytes > 0 &&
                     n > static_cast<i64>(size_ - pos_) / min_record_bytes)) {
-      return Status::InvalidArgument(StrFormat(
-          "hab %s section: %s count %lld out of range", section_, what,
-          static_cast<long long>(n)));
+      Fail(StrFormat("%s count %lld out of range", what,
+                     static_cast<long long>(n)));
+      return 0;
     }
-    return n;
+    return ok() ? n : 0;
   }
-  Status CopyBytes(u8* dst, i64 expect) {
-    HTVM_ASSIGN_OR_RETURN(n, U64());
-    if (static_cast<i64>(n) != expect) {
-      return Status::InvalidArgument(StrFormat(
-          "hab %s section: payload of %llu bytes, expected %lld", section_,
-          static_cast<unsigned long long>(n), static_cast<long long>(expect)));
+  void CopyBytes(u8* dst, i64 expect) {
+    u64 n = 0;
+    (*this)(n);
+    if (ok() && static_cast<i64>(n) != expect) {
+      return Fail(StrFormat("payload of %llu bytes, expected %lld",
+                            static_cast<unsigned long long>(n),
+                            static_cast<long long>(expect)));
     }
-    HTVM_RETURN_IF_ERROR(Need(n));
+    if (!Need(n)) return;
     std::memcpy(dst, data_ + pos_, static_cast<size_t>(n));
     pos_ += static_cast<size_t>(n);
-    return Status::Ok();
   }
-  Status ExpectEnd() {
-    if (pos_ != size_) {
-      return Status::InvalidArgument(
-          StrFormat("hab %s section: %zu trailing bytes", section_,
-                    size_ - pos_));
+  // Keeps the first failure only: later ones are fallout of the first.
+  void Fail(const std::string& what) {
+    if (ok()) {
+      status_ = Status::InvalidArgument(
+          StrFormat("hab %s section: %s", section_, what.c_str()));
     }
-    return Status::Ok();
+  }
+  bool ok() const { return status_.ok(); }
+  const Status& status() const { return status_; }
+  // The section's verdict: the first failure, else trailing bytes.
+  Status Finish() {
+    if (ok() && pos_ != size_) {
+      Fail(StrFormat("%zu trailing bytes", size_ - pos_));
+    }
+    return status_;
   }
 
  private:
-  Status Need(u64 bytes) {
+  bool Need(u64 bytes) {
+    if (!ok()) return false;
     if (bytes > size_ - pos_) {
-      return Status::InvalidArgument(
+      status_ = Status::InvalidArgument(
           StrFormat("hab %s section truncated at byte %zu", section_, pos_));
+      return false;
     }
-    return Status::Ok();
+    return true;
   }
-  Status Overrun(const char* what) {
-    return Status::InvalidArgument(
-        StrFormat("hab %s section: %s out of range", section_, what));
+  void Raw(void* dst, size_t bytes) {
+    if (!Need(bytes)) return;
+    std::memcpy(dst, data_ + pos_, bytes);
+    pos_ += bytes;
   }
 
   const u8* data_;
   size_t size_;
   size_t pos_ = 0;
   const char* section_;
+  Status status_;
 };
 
-// --- section writers -------------------------------------------------------
+// --- record field lists ------------------------------------------------------
+//
+// Each list is the record's byte layout inside its section: changing one
+// changes the format, so a field is only ever appended together with a
+// kHabVersion bump.
 
-void WriteMeta(Writer& w, const HabMeta& meta) {
-  w.Str(meta.model_name);
-  w.Str(meta.producer);
+template <class V, FieldsOf<HabMeta> T>
+void Fields(V& v, T& m) {
+  v(m.model_name);
+  v(m.producer);
 }
 
-void WriteHwConfig(Writer& w, const hw::DianaConfig& hw) {
-  w.I64(hw.l1_bytes);
-  w.I64(hw.l2_bytes);
-  w.F64(hw.freq_mhz);
-  w.I64(hw.runtime_call_overhead);
-  w.I64(hw.dma.setup_cycles);
-  w.I64(hw.dma.bytes_per_cycle);
-  w.I64(hw.dma.row_setup_cycles);
-  w.I64(hw.digital.pe_rows);
-  w.I64(hw.digital.pe_cols);
-  w.I64(hw.digital.weight_mem_bytes);
-  w.I64(hw.digital.dw_mac_num);
-  w.I64(hw.digital.dw_mac_den);
-  w.I64(hw.digital.tile_setup_cycles);
-  w.I64(hw.digital.post_simd_lanes);
-  w.F64(hw.digital.dw_marshal_cycles_per_elem);
-  w.I64(hw.analog.array_rows);
-  w.I64(hw.analog.array_cols);
-  w.I64(hw.analog.weight_mem_bytes);
-  w.I64(hw.analog.layer_setup_cycles);
-  w.I64(hw.analog.row_write_cycles);
-  w.I64(hw.analog.cycles_per_pixel);
-  w.I64(hw.analog.tile_setup_cycles);
-  w.I64(hw.analog.input_bits);
-  w.F64(hw.cpu.conv_cycles_per_mac);
-  w.F64(hw.cpu.dwconv_cycles_per_mac);
-  w.F64(hw.cpu.dense_cycles_per_mac);
-  w.F64(hw.cpu.elemwise_cycles_per_elem);
-  w.F64(hw.cpu.pool_cycles_per_elem);
-  w.F64(hw.cpu.softmax_cycles_per_elem);
-  w.F64(hw.cpu.requant_cycles_per_elem);
-  w.I64(hw.cpu.kernel_overhead_cycles);
-  w.F64(hw.cpu.tuned_library_speedup);
+template <class V, FieldsOf<tvmgen::BinarySizeReport> T>
+void Fields(V& v, T& s) {
+  v(s.runtime_bytes);
+  v(s.code_bytes);
+  v(s.weight_bytes);
 }
 
-void WriteSize(Writer& w, const tvmgen::BinarySizeReport& s) {
-  w.I64(s.runtime_bytes);
-  w.I64(s.code_bytes);
-  w.I64(s.weight_bytes);
+template <class V, FieldsOf<compiler::BufferAssignment> T>
+void Fields(V& v, T& b) {
+  v(b.value);
+  v(b.offset);
+  v(b.size);
+  v(b.def_time);
+  v(b.last_use_time);
 }
 
-void WriteMemPlan(Writer& w, const compiler::MemoryPlan& plan) {
-  w.I64(plan.arena_bytes);
-  w.I64(plan.total_l2_bytes);
-  w.U8(plan.fits ? 1 : 0);
-  w.U8(plan.reuse ? 1 : 0);
-  w.U32(static_cast<u32>(plan.buffers.size()));
-  for (const compiler::BufferAssignment& b : plan.buffers) {
-    w.I32(b.value);
-    w.I64(b.offset);
-    w.I64(b.size);
-    w.I64(b.def_time);
-    w.I64(b.last_use_time);
-  }
+template <class V, FieldsOf<compiler::MemoryPlan> T>
+void Fields(V& v, T& plan) {
+  v(plan.arena_bytes);
+  v(plan.total_l2_bytes);
+  v(plan.fits);
+  v(plan.reuse);
+  v.Vec(plan.buffers, kMaxBuffers, 36, "buffer");
 }
 
-void WritePasses(Writer& w, const compiler::PassTimeline& timeline,
-                 bool scrub_wall_ns) {
-  w.U32(static_cast<u32>(timeline.size()));
-  for (const compiler::PassStat& p : timeline) {
-    w.Str(p.name);
-    w.I64(scrub_wall_ns ? 0 : p.wall_ns);
-    w.I64(p.nodes_before);
-    w.I64(p.nodes_after);
-    w.U8(p.skipped ? 1 : 0);
-  }
+template <class V, FieldsOf<compiler::PassStat> T>
+void Fields(V& v, T& p) {
+  v(p.name);
+  v(p.wall_ns);
+  v(p.nodes_before);
+  v(p.nodes_after);
+  v(p.skipped);
 }
 
-void WriteDispatch(Writer& w, const compiler::DispatchLog& log) {
-  w.U32(static_cast<u32>(log.size()));
-  for (const compiler::DispatchDecision& d : log) {
-    w.I32(d.root);
-    w.Str(d.pattern);
-    w.Str(d.layer);
-    w.Str(d.target);
-    w.Str(d.reason);
+template <class V, FieldsOf<compiler::PassTimeline> T>
+void Fields(V& v, T& timeline) {
+  v.Vec(timeline, kMaxPasses, 29, "pass");
+}
+
+template <class V, FieldsOf<compiler::DispatchDecision> T>
+void Fields(V& v, T& d) {
+  v(d.root);
+  v(d.pattern);
+  v(d.layer);
+  v(d.target);
+  v(d.reason);
+}
+
+template <class V, FieldsOf<compiler::DispatchLog> T>
+void Fields(V& v, T& log) {
+  v.Vec(log, kMaxDispatch, 20, "decision");
+}
+
+template <class V, FieldsOf<dory::AccelLayerSpec> T>
+void Fields(V& v, T& sp) {
+  v.Enum(sp.kind, dory::LayerKind::kMatmul, "layer kind");
+  v(sp.c);
+  v(sp.iy);
+  v(sp.ix);
+  v(sp.k);
+  v(sp.oy);
+  v(sp.ox);
+  v(sp.kh);
+  v(sp.kw);
+  v(sp.sy);
+  v(sp.sx);
+  v(sp.pad_t);
+  v(sp.pad_l);
+  v(sp.pad_b);
+  v(sp.pad_r);
+  v.Enum(sp.weight_dtype, DType::kTernary, "dtype tag");
+  v(sp.requant.shift);
+  v(sp.requant.relu);
+  v.Vec(sp.requant.channel_shifts, kMaxNodes, 8, "channel-shift");
+}
+
+template <class V, FieldsOf<dory::TileSolution> T>
+void Fields(V& v, T& so) {
+  v(so.c_t);
+  v(so.k_t);
+  v(so.oy_t);
+  v(so.ox_t);
+  v(so.iy_t);
+  v(so.ix_t);
+  v(so.n_c);
+  v(so.n_k);
+  v(so.n_y);
+  v(so.n_x);
+  v(so.needs_tiling);
+  v(so.psum);
+  v(so.objective);
+  v(so.l1_bytes);
+}
+
+template <class V, FieldsOf<dory::TileStep> T>
+void Fields(V& v, T& st) {
+  v(st.c0);
+  v(st.k0);
+  v(st.y0);
+  v(st.x0);
+  v(st.c_t);
+  v(st.k_t);
+  v(st.oy_t);
+  v(st.ox_t);
+  v(st.iy_t);
+  v(st.ix_t);
+  v(st.first_c);
+  v(st.last_c);
+  v(st.compute_cycles);
+  v(st.in_dma_cycles);
+  v(st.out_dma_cycles);
+  v(st.weight_dma_cycles);
+  v(st.setup_cycles);
+}
+
+template <class V, FieldsOf<dory::AccelSchedule> T>
+void Fields(V& v, T& s) {
+  v.Enum(s.target, dory::AccelTarget::kAnalog, "schedule target");
+  v(s.macs);
+  v(s.compute_cycles);
+  v(s.weight_dma_cycles);
+  v(s.act_dma_cycles);
+  v(s.exposed_act_cycles);
+  v(s.overhead_cycles);
+  v(s.peak_cycles);
+  v(s.full_cycles);
+  v(s.spec);
+  v(s.solution);
+  v(s.options);
+  v.Vec(s.steps, kMaxSteps, 122, "step");
+}
+
+template <class V, FieldsOf<hw::KernelPerf> T>
+void Fields(V& v, T& p) {
+  v(p.name);
+  v(p.target);
+  v(p.macs);
+  v(p.peak_cycles);
+  v(p.full_cycles);
+  v(p.compute_cycles);
+  v(p.weight_dma_cycles);
+  v(p.act_dma_cycles);
+  v(p.overhead_cycles);
+  v(p.tiles);
+}
+
+template <class V, FieldsOf<compiler::CompiledKernel> T>
+void Fields(V& v, T& k) {
+  v(k.name);
+  v(k.target);
+  v(k.node);
+  v(k.code_bytes);
+  v(k.weight_bytes);
+  v(k.perf);
+  v.Optional(k.schedule);
+}
+
+template <class V, FieldsOf<std::vector<compiler::CompiledKernel>> T>
+void Fields(V& v, T& kernels) {
+  v.Vec(kernels, kMaxKernels, 42, "kernel");
+}
+
+// --- graph encoding ----------------------------------------------------------
+
+// One attribute payload; its tag (the AttrValue variant index) precedes it.
+template <class V, class X>
+void AttrPayload(V& v, X& x) {
+  if constexpr (std::is_same_v<std::remove_const_t<X>, std::vector<i64>>) {
+    v.Vec(x, i64{1} << 16, 8, "int-vec");
+  } else {
+    v(x);
   }
 }
 
 void WriteShape(Writer& w, const Shape& shape) {
-  w.U8(static_cast<u8>(shape.rank()));
-  for (i64 d : shape.dims()) w.I64(d);
+  w(static_cast<u8>(shape.rank()));
+  for (i64 d : shape.dims()) w(d);
 }
 
 void WriteAttrs(Writer& w, const AttrMap& attrs) {
-  w.U32(static_cast<u32>(attrs.values().size()));
+  w(static_cast<u32>(attrs.values().size()));
   for (const auto& [key, value] : attrs.values()) {
-    w.Str(key);
-    w.U8(static_cast<u8>(value.index()));
-    if (const bool* b = std::get_if<bool>(&value)) {
-      w.U8(*b ? 1 : 0);
-    } else if (const i64* i = std::get_if<i64>(&value)) {
-      w.I64(*i);
-    } else if (const double* d = std::get_if<double>(&value)) {
-      w.F64(*d);
-    } else if (const std::string* s = std::get_if<std::string>(&value)) {
-      w.Str(*s);
-    } else {
-      const auto& vec = std::get<std::vector<i64>>(value);
-      w.U32(static_cast<u32>(vec.size()));
-      for (i64 i : vec) w.I64(i);
-    }
+    w(key);
+    w(static_cast<u8>(value.index()));
+    std::visit([&w](const auto& x) { AttrPayload(w, x); }, value);
   }
 }
 
 void WriteGraph(Writer& w, const Graph& g) {
-  w.U32(static_cast<u32>(g.NumNodes()));
+  w(static_cast<u32>(g.NumNodes()));
   for (const Node& n : g.nodes()) {
-    w.U8(static_cast<u8>(n.kind));
+    w(static_cast<u8>(n.kind));
     switch (n.kind) {
       case NodeKind::kInput:
-        w.Str(n.name);
-        w.U8(static_cast<u8>(n.type.dtype));
+        w(n.name);
+        w(static_cast<u8>(n.type.dtype));
         WriteShape(w, n.type.shape);
         break;
       case NodeKind::kConstant:
-        w.Str(n.name);
-        w.U8(static_cast<u8>(n.value.dtype()));
+        w(n.name);
+        w(static_cast<u8>(n.value.dtype()));
         WriteShape(w, n.value.shape());
         w.Bytes(n.value.raw(), n.value.SizeBytes());
         break;
       case NodeKind::kOp:
       case NodeKind::kComposite:
-        w.Str(n.op);
-        w.Str(n.name);
-        w.U32(static_cast<u32>(n.inputs.size()));
-        for (NodeId in : n.inputs) w.I32(in);
+        w(n.op);
+        w(n.name);
+        w.Vec(n.inputs, 0, 0, "input");
         WriteAttrs(w, n.attrs);
         if (n.kind == NodeKind::kComposite) WriteGraph(w, *n.body);
         break;
     }
   }
-  w.U32(static_cast<u32>(g.outputs().size()));
-  for (NodeId id : g.outputs()) w.I32(id);
+  w.Vec(g.outputs(), 0, 0, "output");
 }
 
-void WriteSchedule(Writer& w, const dory::AccelSchedule& s) {
-  w.U8(s.target == dory::AccelTarget::kAnalog ? 1 : 0);
-  w.I64(s.macs);
-  w.I64(s.compute_cycles);
-  w.I64(s.weight_dma_cycles);
-  w.I64(s.act_dma_cycles);
-  w.I64(s.exposed_act_cycles);
-  w.I64(s.overhead_cycles);
-  w.I64(s.peak_cycles);
-  w.I64(s.full_cycles);
-  const dory::AccelLayerSpec& sp = s.spec;
-  w.U8(static_cast<u8>(sp.kind));
-  w.I64(sp.c);
-  w.I64(sp.iy);
-  w.I64(sp.ix);
-  w.I64(sp.k);
-  w.I64(sp.oy);
-  w.I64(sp.ox);
-  w.I64(sp.kh);
-  w.I64(sp.kw);
-  w.I64(sp.sy);
-  w.I64(sp.sx);
-  w.I64(sp.pad_t);
-  w.I64(sp.pad_l);
-  w.I64(sp.pad_b);
-  w.I64(sp.pad_r);
-  w.U8(static_cast<u8>(sp.weight_dtype));
-  w.I64(sp.requant.shift);
-  w.U8(sp.requant.relu ? 1 : 0);
-  w.U32(static_cast<u32>(sp.requant.channel_shifts.size()));
-  for (i64 cs : sp.requant.channel_shifts) w.I64(cs);
-  const dory::TileSolution& so = s.solution;
-  w.I64(so.c_t);
-  w.I64(so.k_t);
-  w.I64(so.oy_t);
-  w.I64(so.ox_t);
-  w.I64(so.iy_t);
-  w.I64(so.ix_t);
-  w.I64(so.n_c);
-  w.I64(so.n_k);
-  w.I64(so.n_y);
-  w.I64(so.n_x);
-  w.U8(so.needs_tiling ? 1 : 0);
-  w.U8(so.psum ? 1 : 0);
-  w.F64(so.objective);
-  w.I64(so.l1_bytes);
-  const dory::TilerOptions& t = s.options;
-  w.F64(t.alpha);
-  w.F64(t.beta_pe);
-  w.F64(t.beta_dma);
-  w.U8(t.enable_pe_heuristics ? 1 : 0);
-  w.U8(t.enable_dma_heuristic ? 1 : 0);
-  w.U8(t.double_buffer ? 1 : 0);
-  w.I64(t.l1_budget_bytes);
-  w.U32(static_cast<u32>(s.steps.size()));
-  for (const dory::TileStep& st : s.steps) {
-    w.I64(st.c0);
-    w.I64(st.k0);
-    w.I64(st.y0);
-    w.I64(st.x0);
-    w.I64(st.c_t);
-    w.I64(st.k_t);
-    w.I64(st.oy_t);
-    w.I64(st.ox_t);
-    w.I64(st.iy_t);
-    w.I64(st.ix_t);
-    w.U8(st.first_c ? 1 : 0);
-    w.U8(st.last_c ? 1 : 0);
-    w.I64(st.compute_cycles);
-    w.I64(st.in_dma_cycles);
-    w.I64(st.out_dma_cycles);
-    w.I64(st.weight_dma_cycles);
-    w.I64(st.setup_cycles);
-  }
-}
-
-void WriteKernels(Writer& w, const std::vector<compiler::CompiledKernel>& ks) {
-  w.U32(static_cast<u32>(ks.size()));
-  for (const compiler::CompiledKernel& k : ks) {
-    w.Str(k.name);
-    w.Str(k.target);
-    w.I32(k.node);
-    w.I64(k.code_bytes);
-    w.I64(k.weight_bytes);
-    w.Str(k.perf.name);
-    w.Str(k.perf.target);
-    w.I64(k.perf.macs);
-    w.I64(k.perf.peak_cycles);
-    w.I64(k.perf.full_cycles);
-    w.I64(k.perf.compute_cycles);
-    w.I64(k.perf.weight_dma_cycles);
-    w.I64(k.perf.act_dma_cycles);
-    w.I64(k.perf.overhead_cycles);
-    w.I64(k.perf.tiles);
-    w.U8(k.schedule.has_value() ? 1 : 0);
-    if (k.schedule.has_value()) WriteSchedule(w, *k.schedule);
-  }
-}
-
-// --- section readers -------------------------------------------------------
-
-Status ReadMeta(Reader& r, HabMeta& meta) {
-  HTVM_ASSIGN_OR_RETURN(model, r.Str());
-  HTVM_ASSIGN_OR_RETURN(producer, r.Str());
-  meta.model_name = model;
-  meta.producer = producer;
-  return r.ExpectEnd();
-}
-
-Status ReadHwConfig(Reader& r, hw::DianaConfig& hw) {
-  HTVM_ASSIGN_OR_RETURN(l1, r.I64());
-  HTVM_ASSIGN_OR_RETURN(l2, r.I64());
-  HTVM_ASSIGN_OR_RETURN(freq, r.F64());
-  HTVM_ASSIGN_OR_RETURN(call_overhead, r.I64());
-  hw.l1_bytes = l1;
-  hw.l2_bytes = l2;
-  hw.freq_mhz = freq;
-  hw.runtime_call_overhead = call_overhead;
-  HTVM_ASSIGN_OR_RETURN(d0, r.I64());
-  HTVM_ASSIGN_OR_RETURN(d1, r.I64());
-  HTVM_ASSIGN_OR_RETURN(d2, r.I64());
-  hw.dma.setup_cycles = d0;
-  hw.dma.bytes_per_cycle = d1;
-  hw.dma.row_setup_cycles = d2;
-  HTVM_ASSIGN_OR_RETURN(g0, r.I64());
-  HTVM_ASSIGN_OR_RETURN(g1, r.I64());
-  HTVM_ASSIGN_OR_RETURN(g2, r.I64());
-  HTVM_ASSIGN_OR_RETURN(g3, r.I64());
-  HTVM_ASSIGN_OR_RETURN(g4, r.I64());
-  HTVM_ASSIGN_OR_RETURN(g5, r.I64());
-  HTVM_ASSIGN_OR_RETURN(g6, r.I64());
-  HTVM_ASSIGN_OR_RETURN(g7, r.F64());
-  hw.digital.pe_rows = g0;
-  hw.digital.pe_cols = g1;
-  hw.digital.weight_mem_bytes = g2;
-  hw.digital.dw_mac_num = g3;
-  hw.digital.dw_mac_den = g4;
-  hw.digital.tile_setup_cycles = g5;
-  hw.digital.post_simd_lanes = g6;
-  hw.digital.dw_marshal_cycles_per_elem = g7;
-  HTVM_ASSIGN_OR_RETURN(a0, r.I64());
-  HTVM_ASSIGN_OR_RETURN(a1, r.I64());
-  HTVM_ASSIGN_OR_RETURN(a2, r.I64());
-  HTVM_ASSIGN_OR_RETURN(a3, r.I64());
-  HTVM_ASSIGN_OR_RETURN(a4, r.I64());
-  HTVM_ASSIGN_OR_RETURN(a5, r.I64());
-  HTVM_ASSIGN_OR_RETURN(a6, r.I64());
-  HTVM_ASSIGN_OR_RETURN(a7, r.I64());
-  hw.analog.array_rows = a0;
-  hw.analog.array_cols = a1;
-  hw.analog.weight_mem_bytes = a2;
-  hw.analog.layer_setup_cycles = a3;
-  hw.analog.row_write_cycles = a4;
-  hw.analog.cycles_per_pixel = a5;
-  hw.analog.tile_setup_cycles = a6;
-  hw.analog.input_bits = a7;
-  HTVM_ASSIGN_OR_RETURN(c0, r.F64());
-  HTVM_ASSIGN_OR_RETURN(c1, r.F64());
-  HTVM_ASSIGN_OR_RETURN(c2, r.F64());
-  HTVM_ASSIGN_OR_RETURN(c3, r.F64());
-  HTVM_ASSIGN_OR_RETURN(c4, r.F64());
-  HTVM_ASSIGN_OR_RETURN(c5, r.F64());
-  HTVM_ASSIGN_OR_RETURN(c6, r.F64());
-  HTVM_ASSIGN_OR_RETURN(c7, r.I64());
-  HTVM_ASSIGN_OR_RETURN(c8, r.F64());
-  hw.cpu.conv_cycles_per_mac = c0;
-  hw.cpu.dwconv_cycles_per_mac = c1;
-  hw.cpu.dense_cycles_per_mac = c2;
-  hw.cpu.elemwise_cycles_per_elem = c3;
-  hw.cpu.pool_cycles_per_elem = c4;
-  hw.cpu.softmax_cycles_per_elem = c5;
-  hw.cpu.requant_cycles_per_elem = c6;
-  hw.cpu.kernel_overhead_cycles = c7;
-  hw.cpu.tuned_library_speedup = c8;
-  return r.ExpectEnd();
-}
-
-Status ReadSize(Reader& r, tvmgen::BinarySizeReport& s) {
-  HTVM_ASSIGN_OR_RETURN(rt, r.I64());
-  HTVM_ASSIGN_OR_RETURN(code, r.I64());
-  HTVM_ASSIGN_OR_RETURN(weight, r.I64());
-  s.runtime_bytes = rt;
-  s.code_bytes = code;
-  s.weight_bytes = weight;
-  return r.ExpectEnd();
-}
-
-Status ReadMemPlan(Reader& r, compiler::MemoryPlan& plan) {
-  HTVM_ASSIGN_OR_RETURN(arena, r.I64());
-  HTVM_ASSIGN_OR_RETURN(total, r.I64());
-  HTVM_ASSIGN_OR_RETURN(fits, r.Bool());
-  HTVM_ASSIGN_OR_RETURN(reuse, r.Bool());
-  plan.arena_bytes = arena;
-  plan.total_l2_bytes = total;
-  plan.fits = fits;
-  plan.reuse = reuse;
-  HTVM_ASSIGN_OR_RETURN(n, r.Count(kMaxBuffers, 36, "buffer"));
-  plan.buffers.reserve(static_cast<size_t>(n));
-  for (i64 i = 0; i < n; ++i) {
-    compiler::BufferAssignment b;
-    HTVM_ASSIGN_OR_RETURN(value, r.I32());
-    HTVM_ASSIGN_OR_RETURN(offset, r.I64());
-    HTVM_ASSIGN_OR_RETURN(size, r.I64());
-    HTVM_ASSIGN_OR_RETURN(def, r.I64());
-    HTVM_ASSIGN_OR_RETURN(last, r.I64());
-    b.value = value;
-    b.offset = offset;
-    b.size = size;
-    b.def_time = def;
-    b.last_use_time = last;
-    plan.buffers.push_back(b);
-  }
-  return r.ExpectEnd();
-}
-
-Status ReadPasses(Reader& r, compiler::PassTimeline& timeline) {
-  HTVM_ASSIGN_OR_RETURN(n, r.Count(kMaxPasses, 29, "pass"));
-  timeline.reserve(static_cast<size_t>(n));
-  for (i64 i = 0; i < n; ++i) {
-    compiler::PassStat p;
-    HTVM_ASSIGN_OR_RETURN(name, r.Str());
-    HTVM_ASSIGN_OR_RETURN(wall, r.I64());
-    HTVM_ASSIGN_OR_RETURN(before, r.I64());
-    HTVM_ASSIGN_OR_RETURN(after, r.I64());
-    HTVM_ASSIGN_OR_RETURN(skipped, r.Bool());
-    p.name = name;
-    p.wall_ns = wall;
-    p.nodes_before = before;
-    p.nodes_after = after;
-    p.skipped = skipped;
-    timeline.push_back(std::move(p));
-  }
-  return r.ExpectEnd();
-}
-
-Status ReadDispatch(Reader& r, compiler::DispatchLog& log) {
-  HTVM_ASSIGN_OR_RETURN(n, r.Count(kMaxDispatch, 20, "decision"));
-  log.reserve(static_cast<size_t>(n));
-  for (i64 i = 0; i < n; ++i) {
-    compiler::DispatchDecision d;
-    HTVM_ASSIGN_OR_RETURN(root, r.I32());
-    HTVM_ASSIGN_OR_RETURN(pattern, r.Str());
-    HTVM_ASSIGN_OR_RETURN(layer, r.Str());
-    HTVM_ASSIGN_OR_RETURN(target, r.Str());
-    HTVM_ASSIGN_OR_RETURN(reason, r.Str());
-    d.root = root;
-    d.pattern = pattern;
-    d.layer = layer;
-    d.target = target;
-    d.reason = reason;
-    log.push_back(std::move(d));
-  }
-  return r.ExpectEnd();
-}
-
-Result<DType> ReadDType(Reader& r) {
-  HTVM_ASSIGN_OR_RETURN(raw, r.U8());
-  if (raw > static_cast<u8>(DType::kTernary)) {
-    return Status::InvalidArgument(
-        StrFormat("hab graph section: bad dtype tag %u", raw));
-  }
-  return static_cast<DType>(raw);
-}
-
-Result<Shape> ReadShape(Reader& r) {
-  HTVM_ASSIGN_OR_RETURN(rank, r.U8());
+Shape ReadShape(Reader& r) {
+  u8 rank = 0;
+  r(rank);
   if (rank > 8) {
-    return Status::InvalidArgument("hab graph section: shape rank > 8");
+    r.Fail("shape rank > 8");
+    return Shape();
   }
   std::vector<i64> dims(rank);
   i64 elems = 1;
   for (i64& d : dims) {
-    HTVM_ASSIGN_OR_RETURN(v, r.I64());
-    if (v < 0 || v > (i64{1} << 24)) {
-      return Status::InvalidArgument("hab graph section: dim out of range");
+    r(d);
+    if (d < 0 || d > (i64{1} << 24)) {
+      r.Fail("dim out of range");
+      return Shape();
     }
-    d = v;
     // Guard the product too: eight 2^24 dims would overflow i64 in
     // NumElements and demand an absurd allocation.
-    elems *= std::max<i64>(v, 1);
+    elems *= std::max<i64>(d, 1);
     if (elems > (i64{1} << 26)) {
-      return Status::InvalidArgument(
-          "hab graph section: tensor element count out of range");
+      r.Fail("tensor element count out of range");
+      return Shape();
     }
   }
   return Shape(dims);
 }
 
-Result<AttrMap> ReadAttrs(Reader& r) {
-  HTVM_ASSIGN_OR_RETURN(n, r.Count(kMaxAttrs, 6, "attr"));
+AttrMap ReadAttrs(Reader& r) {
   AttrMap attrs;
-  for (i64 i = 0; i < n; ++i) {
-    HTVM_ASSIGN_OR_RETURN(key, r.Str());
-    HTVM_ASSIGN_OR_RETURN(tag, r.U8());
-    switch (tag) {
-      case 0: {
-        HTVM_ASSIGN_OR_RETURN(b, r.Bool());
-        attrs.Set(key, b);
-        break;
-      }
-      case 1: {
-        HTVM_ASSIGN_OR_RETURN(v, r.I64());
-        attrs.Set(key, v);
-        break;
-      }
-      case 2: {
-        HTVM_ASSIGN_OR_RETURN(d, r.F64());
-        attrs.Set(key, d);
-        break;
-      }
-      case 3: {
-        HTVM_ASSIGN_OR_RETURN(s, r.Str());
-        attrs.Set(key, s);
-        break;
-      }
-      case 4: {
-        HTVM_ASSIGN_OR_RETURN(cnt, r.Count(i64{1} << 16, 8, "int-vec"));
-        std::vector<i64> vec(static_cast<size_t>(cnt));
-        for (i64& v : vec) {
-          HTVM_ASSIGN_OR_RETURN(x, r.I64());
-          v = x;
-        }
-        attrs.Set(key, std::move(vec));
-        break;
-      }
-      default:
-        return Status::InvalidArgument(
-            StrFormat("hab graph section: bad attr tag %u", tag));
+  const i64 n = r.Count(kMaxAttrs, 6, "attr");
+  for (i64 i = 0; i < n && r.ok(); ++i) {
+    std::string key;
+    u8 tag = 0;
+    r(key);
+    r(tag);
+    // The tag is the variant index; decode into that alternative's zero.
+    static const AttrValue kZero[] = {false, i64{0}, 0.0, std::string(),
+                                      std::vector<i64>()};
+    if (tag >= std::size(kZero)) {
+      r.Fail(StrFormat("bad attr tag %u", tag));
+      break;
     }
+    AttrValue value = kZero[tag];
+    std::visit([&r](auto& x) { AttrPayload(r, x); }, value);
+    attrs.Set(key, std::move(value));
   }
   return attrs;
 }
 
-Result<std::vector<NodeId>> ReadIdList(Reader& r, i64 cap, i64 num_nodes,
-                                       const char* what) {
-  HTVM_ASSIGN_OR_RETURN(n, r.Count(cap, 4, what));
-  std::vector<NodeId> ids(static_cast<size_t>(n));
-  for (NodeId& id : ids) {
-    HTVM_ASSIGN_OR_RETURN(v, r.I32());
-    if (v < 0 || v >= num_nodes) {
-      return Status::InvalidArgument(
-          StrFormat("hab graph section: %s id %d out of range", what, v));
+std::vector<NodeId> ReadIdList(Reader& r, i64 cap, i64 num_nodes,
+                               const char* what) {
+  std::vector<NodeId> ids;
+  r.Vec(ids, cap, 4, what);
+  for (NodeId id : ids) {
+    if (id < 0 || id >= num_nodes) {
+      r.Fail(StrFormat("%s id %d out of range", what, id));
+      break;
     }
-    id = v;
   }
   return ids;
 }
 
+// Decoded values reach the Graph API, whose preconditions are CHECKs, only
+// after status() confirms they are sound.
 Status ReadGraph(Reader& r, Graph& g, bool allow_composite) {
-  HTVM_ASSIGN_OR_RETURN(num_nodes, r.Count(kMaxNodes, 2, "node"));
+  const i64 num_nodes = r.Count(kMaxNodes, 2, "node");
   for (i64 i = 0; i < num_nodes; ++i) {
-    HTVM_ASSIGN_OR_RETURN(kind, r.U8());
+    u8 kind = 0;
+    r(kind);
+    HTVM_RETURN_IF_ERROR(r.status());
     switch (kind) {
-      case static_cast<u8>(NodeKind::kInput): {
-        HTVM_ASSIGN_OR_RETURN(name, r.Str());
-        HTVM_ASSIGN_OR_RETURN(dtype, ReadDType(r));
-        HTVM_ASSIGN_OR_RETURN(shape, ReadShape(r));
-        g.AddInput(name, {shape, dtype});
-        break;
-      }
+      case static_cast<u8>(NodeKind::kInput):
       case static_cast<u8>(NodeKind::kConstant): {
-        HTVM_ASSIGN_OR_RETURN(name, r.Str());
-        HTVM_ASSIGN_OR_RETURN(dtype, ReadDType(r));
-        HTVM_ASSIGN_OR_RETURN(shape, ReadShape(r));
+        std::string name;
+        DType dtype = DType::kInt8;
+        r(name);
+        r.Enum(dtype, DType::kTernary, "dtype tag");
+        const Shape shape = ReadShape(r);
+        HTVM_RETURN_IF_ERROR(r.status());
+        if (kind == static_cast<u8>(NodeKind::kInput)) {
+          g.AddInput(name, {shape, dtype});
+          break;
+        }
         Tensor t(shape, dtype);
-        HTVM_RETURN_IF_ERROR(r.CopyBytes(t.raw(), t.SizeBytes()));
+        r.CopyBytes(t.raw(), t.SizeBytes());
+        HTVM_RETURN_IF_ERROR(r.status());
         g.AddConstant(std::move(t), name);
         break;
       }
       case static_cast<u8>(NodeKind::kOp): {
-        HTVM_ASSIGN_OR_RETURN(op, r.Str());
-        HTVM_ASSIGN_OR_RETURN(name, r.Str());
-        HTVM_ASSIGN_OR_RETURN(
-            inputs, ReadIdList(r, kMaxInputs, g.NumNodes(), "op input"));
-        HTVM_ASSIGN_OR_RETURN(attrs, ReadAttrs(r));
+        std::string op, name;
+        r(op);
+        r(name);
+        std::vector<NodeId> inputs =
+            ReadIdList(r, kMaxInputs, g.NumNodes(), "op input");
+        AttrMap attrs = ReadAttrs(r);
+        HTVM_RETURN_IF_ERROR(r.status());
+        // Every rejection is corruption here, an unknown op name included:
+        // NotFound would read as "file missing" to a runner.
         auto id = g.TryAddOp(op, std::move(inputs), std::move(attrs), name);
-        if (!id.ok()) return id.status();
+        if (!id.ok()) {
+          return Status::InvalidArgument("hab graph section: " +
+                                         id.status().message());
+        }
         break;
       }
       case static_cast<u8>(NodeKind::kComposite): {
@@ -685,11 +550,14 @@ Status ReadGraph(Reader& r, Graph& g, bool allow_composite) {
           return Status::InvalidArgument(
               "hab graph section: nested composite in body");
         }
-        HTVM_ASSIGN_OR_RETURN(op, r.Str());
-        HTVM_ASSIGN_OR_RETURN(name, r.Str());
-        HTVM_ASSIGN_OR_RETURN(
-            inputs, ReadIdList(r, kMaxInputs, g.NumNodes(), "composite input"));
-        HTVM_ASSIGN_OR_RETURN(attrs, ReadAttrs(r));
+        std::string op, name;
+        r(op);
+        r(name);
+        std::vector<NodeId> inputs =
+            ReadIdList(r, kMaxInputs, g.NumNodes(), "composite input");
+        AttrMap attrs = ReadAttrs(r);
+        HTVM_RETURN_IF_ERROR(r.status());
+        HTVM_RETURN_IF_ERROR(CheckAttrTypes(attrs));
         auto body = std::make_shared<Graph>();
         HTVM_RETURN_IF_ERROR(ReadGraph(r, *body, /*allow_composite=*/false));
         // AddComposite asserts these invariants; a corrupt file must fail
@@ -713,220 +581,14 @@ Status ReadGraph(Reader& r, Graph& g, bool allow_composite) {
             StrFormat("hab graph section: bad node kind %u", kind));
     }
   }
-  HTVM_ASSIGN_OR_RETURN(outputs,
-                        ReadIdList(r, kMaxNodes, g.NumNodes(), "output"));
+  std::vector<NodeId> outputs =
+      ReadIdList(r, kMaxNodes, g.NumNodes(), "output");
+  HTVM_RETURN_IF_ERROR(r.status());
   if (outputs.empty()) {
     return Status::InvalidArgument("hab graph section: empty output list");
   }
   g.SetOutputs(std::move(outputs));
   return Status::Ok();
-}
-
-Result<dory::AccelSchedule> ReadSchedule(Reader& r) {
-  dory::AccelSchedule s;
-  HTVM_ASSIGN_OR_RETURN(target, r.U8());
-  if (target > 1) {
-    return Status::InvalidArgument("hab kernels section: bad schedule target");
-  }
-  s.target = target == 1 ? dory::AccelTarget::kAnalog
-                         : dory::AccelTarget::kDigital;
-  HTVM_ASSIGN_OR_RETURN(macs, r.I64());
-  HTVM_ASSIGN_OR_RETURN(compute, r.I64());
-  HTVM_ASSIGN_OR_RETURN(wdma, r.I64());
-  HTVM_ASSIGN_OR_RETURN(adma, r.I64());
-  HTVM_ASSIGN_OR_RETURN(exposed, r.I64());
-  HTVM_ASSIGN_OR_RETURN(overhead, r.I64());
-  HTVM_ASSIGN_OR_RETURN(peak, r.I64());
-  HTVM_ASSIGN_OR_RETURN(full, r.I64());
-  s.macs = macs;
-  s.compute_cycles = compute;
-  s.weight_dma_cycles = wdma;
-  s.act_dma_cycles = adma;
-  s.exposed_act_cycles = exposed;
-  s.overhead_cycles = overhead;
-  s.peak_cycles = peak;
-  s.full_cycles = full;
-  dory::AccelLayerSpec& sp = s.spec;
-  HTVM_ASSIGN_OR_RETURN(kind, r.U8());
-  if (kind > static_cast<u8>(dory::LayerKind::kMatmul)) {
-    return Status::InvalidArgument("hab kernels section: bad layer kind");
-  }
-  sp.kind = static_cast<dory::LayerKind>(kind);
-  HTVM_ASSIGN_OR_RETURN(c, r.I64());
-  HTVM_ASSIGN_OR_RETURN(iy, r.I64());
-  HTVM_ASSIGN_OR_RETURN(ix, r.I64());
-  HTVM_ASSIGN_OR_RETURN(k, r.I64());
-  HTVM_ASSIGN_OR_RETURN(oy, r.I64());
-  HTVM_ASSIGN_OR_RETURN(ox, r.I64());
-  HTVM_ASSIGN_OR_RETURN(kh, r.I64());
-  HTVM_ASSIGN_OR_RETURN(kw, r.I64());
-  HTVM_ASSIGN_OR_RETURN(sy, r.I64());
-  HTVM_ASSIGN_OR_RETURN(sx, r.I64());
-  HTVM_ASSIGN_OR_RETURN(pt, r.I64());
-  HTVM_ASSIGN_OR_RETURN(pl, r.I64());
-  HTVM_ASSIGN_OR_RETURN(pb, r.I64());
-  HTVM_ASSIGN_OR_RETURN(pr, r.I64());
-  sp.c = c;
-  sp.iy = iy;
-  sp.ix = ix;
-  sp.k = k;
-  sp.oy = oy;
-  sp.ox = ox;
-  sp.kh = kh;
-  sp.kw = kw;
-  sp.sy = sy;
-  sp.sx = sx;
-  sp.pad_t = pt;
-  sp.pad_l = pl;
-  sp.pad_b = pb;
-  sp.pad_r = pr;
-  HTVM_ASSIGN_OR_RETURN(wdtype, ReadDType(r));
-  sp.weight_dtype = wdtype;
-  HTVM_ASSIGN_OR_RETURN(shift, r.I64());
-  HTVM_ASSIGN_OR_RETURN(relu, r.Bool());
-  sp.requant.shift = shift;
-  sp.requant.relu = relu;
-  HTVM_ASSIGN_OR_RETURN(nch, r.Count(kMaxNodes, 8, "channel-shift"));
-  sp.requant.channel_shifts.resize(static_cast<size_t>(nch));
-  for (i64& cs : sp.requant.channel_shifts) {
-    HTVM_ASSIGN_OR_RETURN(v, r.I64());
-    cs = v;
-  }
-  dory::TileSolution& so = s.solution;
-  HTVM_ASSIGN_OR_RETURN(ct, r.I64());
-  HTVM_ASSIGN_OR_RETURN(kt, r.I64());
-  HTVM_ASSIGN_OR_RETURN(oyt, r.I64());
-  HTVM_ASSIGN_OR_RETURN(oxt, r.I64());
-  HTVM_ASSIGN_OR_RETURN(iyt, r.I64());
-  HTVM_ASSIGN_OR_RETURN(ixt, r.I64());
-  HTVM_ASSIGN_OR_RETURN(nc, r.I64());
-  HTVM_ASSIGN_OR_RETURN(nk, r.I64());
-  HTVM_ASSIGN_OR_RETURN(ny, r.I64());
-  HTVM_ASSIGN_OR_RETURN(nx, r.I64());
-  HTVM_ASSIGN_OR_RETURN(needs, r.Bool());
-  HTVM_ASSIGN_OR_RETURN(psum, r.Bool());
-  HTVM_ASSIGN_OR_RETURN(objective, r.F64());
-  HTVM_ASSIGN_OR_RETURN(l1, r.I64());
-  so.c_t = ct;
-  so.k_t = kt;
-  so.oy_t = oyt;
-  so.ox_t = oxt;
-  so.iy_t = iyt;
-  so.ix_t = ixt;
-  so.n_c = nc;
-  so.n_k = nk;
-  so.n_y = ny;
-  so.n_x = nx;
-  so.needs_tiling = needs;
-  so.psum = psum;
-  so.objective = objective;
-  so.l1_bytes = l1;
-  dory::TilerOptions& t = s.options;
-  HTVM_ASSIGN_OR_RETURN(alpha, r.F64());
-  HTVM_ASSIGN_OR_RETURN(beta_pe, r.F64());
-  HTVM_ASSIGN_OR_RETURN(beta_dma, r.F64());
-  HTVM_ASSIGN_OR_RETURN(pe, r.Bool());
-  HTVM_ASSIGN_OR_RETURN(dma, r.Bool());
-  HTVM_ASSIGN_OR_RETURN(db, r.Bool());
-  HTVM_ASSIGN_OR_RETURN(budget, r.I64());
-  t.alpha = alpha;
-  t.beta_pe = beta_pe;
-  t.beta_dma = beta_dma;
-  t.enable_pe_heuristics = pe;
-  t.enable_dma_heuristic = dma;
-  t.double_buffer = db;
-  t.l1_budget_bytes = budget;
-  HTVM_ASSIGN_OR_RETURN(nsteps, r.Count(kMaxSteps, 122, "step"));
-  s.steps.reserve(static_cast<size_t>(nsteps));
-  for (i64 i = 0; i < nsteps; ++i) {
-    dory::TileStep st;
-    HTVM_ASSIGN_OR_RETURN(c0, r.I64());
-    HTVM_ASSIGN_OR_RETURN(k0, r.I64());
-    HTVM_ASSIGN_OR_RETURN(y0, r.I64());
-    HTVM_ASSIGN_OR_RETURN(x0, r.I64());
-    HTVM_ASSIGN_OR_RETURN(sct, r.I64());
-    HTVM_ASSIGN_OR_RETURN(skt, r.I64());
-    HTVM_ASSIGN_OR_RETURN(soyt, r.I64());
-    HTVM_ASSIGN_OR_RETURN(soxt, r.I64());
-    HTVM_ASSIGN_OR_RETURN(siyt, r.I64());
-    HTVM_ASSIGN_OR_RETURN(sixt, r.I64());
-    HTVM_ASSIGN_OR_RETURN(first, r.Bool());
-    HTVM_ASSIGN_OR_RETURN(last, r.Bool());
-    HTVM_ASSIGN_OR_RETURN(scompute, r.I64());
-    HTVM_ASSIGN_OR_RETURN(in_dma, r.I64());
-    HTVM_ASSIGN_OR_RETURN(out_dma, r.I64());
-    HTVM_ASSIGN_OR_RETURN(swdma, r.I64());
-    HTVM_ASSIGN_OR_RETURN(setup, r.I64());
-    st.c0 = c0;
-    st.k0 = k0;
-    st.y0 = y0;
-    st.x0 = x0;
-    st.c_t = sct;
-    st.k_t = skt;
-    st.oy_t = soyt;
-    st.ox_t = soxt;
-    st.iy_t = siyt;
-    st.ix_t = sixt;
-    st.first_c = first;
-    st.last_c = last;
-    st.compute_cycles = scompute;
-    st.in_dma_cycles = in_dma;
-    st.out_dma_cycles = out_dma;
-    st.weight_dma_cycles = swdma;
-    st.setup_cycles = setup;
-    s.steps.push_back(st);
-  }
-  return s;
-}
-
-Status ReadKernels(Reader& r, const Graph& kernel_graph,
-                   std::vector<compiler::CompiledKernel>& kernels) {
-  HTVM_ASSIGN_OR_RETURN(n, r.Count(kMaxKernels, 42, "kernel"));
-  kernels.reserve(static_cast<size_t>(n));
-  for (i64 i = 0; i < n; ++i) {
-    compiler::CompiledKernel k;
-    HTVM_ASSIGN_OR_RETURN(name, r.Str());
-    HTVM_ASSIGN_OR_RETURN(target, r.Str());
-    HTVM_ASSIGN_OR_RETURN(node, r.I32());
-    HTVM_ASSIGN_OR_RETURN(code, r.I64());
-    HTVM_ASSIGN_OR_RETURN(weight, r.I64());
-    if (node < 0 || node >= kernel_graph.NumNodes()) {
-      return Status::InvalidArgument(
-          "hab kernels section: kernel node id out of range");
-    }
-    k.name = name;
-    k.target = target;
-    k.node = node;
-    k.code_bytes = code;
-    k.weight_bytes = weight;
-    HTVM_ASSIGN_OR_RETURN(pname, r.Str());
-    HTVM_ASSIGN_OR_RETURN(ptarget, r.Str());
-    k.perf.name = pname;
-    k.perf.target = ptarget;
-    HTVM_ASSIGN_OR_RETURN(macs, r.I64());
-    HTVM_ASSIGN_OR_RETURN(peak, r.I64());
-    HTVM_ASSIGN_OR_RETURN(full, r.I64());
-    HTVM_ASSIGN_OR_RETURN(compute, r.I64());
-    HTVM_ASSIGN_OR_RETURN(wdma, r.I64());
-    HTVM_ASSIGN_OR_RETURN(adma, r.I64());
-    HTVM_ASSIGN_OR_RETURN(overhead, r.I64());
-    HTVM_ASSIGN_OR_RETURN(tiles, r.I64());
-    k.perf.macs = macs;
-    k.perf.peak_cycles = peak;
-    k.perf.full_cycles = full;
-    k.perf.compute_cycles = compute;
-    k.perf.weight_dma_cycles = wdma;
-    k.perf.act_dma_cycles = adma;
-    k.perf.overhead_cycles = overhead;
-    k.perf.tiles = tiles;
-    HTVM_ASSIGN_OR_RETURN(has_sched, r.Bool());
-    if (has_sched) {
-      HTVM_ASSIGN_OR_RETURN(sched, ReadSchedule(r));
-      k.schedule = std::move(sched);
-    }
-    kernels.push_back(std::move(k));
-  }
-  return r.ExpectEnd();
 }
 
 // --- header / section table ------------------------------------------------
@@ -979,32 +641,35 @@ std::string SerializeHabImpl(const compiler::Artifact& a, const HabMeta& meta,
     std::string payload;
   };
   std::vector<Section> sections;
-  const auto add = [&](HabSection id, auto&& write) {
+  const auto add = [&](HabSection id, const auto& record) {
     Writer w;
-    write(w);
+    w(record);
     sections.push_back({id, w.str()});
   };
-  add(HabSection::kMeta, [&](Writer& w) { WriteMeta(w, meta); });
-  add(HabSection::kHwConfig, [&](Writer& w) { WriteHwConfig(w, a.hw_config); });
-  add(HabSection::kSize, [&](Writer& w) { WriteSize(w, a.size); });
-  add(HabSection::kMemPlan, [&](Writer& w) { WriteMemPlan(w, a.memory_plan); });
-  add(HabSection::kPasses,
-      [&](Writer& w) { WritePasses(w, a.pass_timeline, scrub_wall_ns); });
-  add(HabSection::kDispatch,
-      [&](Writer& w) { WriteDispatch(w, a.dispatch_log); });
-  add(HabSection::kGraph, [&](Writer& w) { WriteGraph(w, a.kernel_graph); });
-  add(HabSection::kKernels, [&](Writer& w) { WriteKernels(w, a.kernels); });
+  compiler::PassTimeline scrubbed;
+  if (scrub_wall_ns) {
+    scrubbed = a.pass_timeline;
+    for (compiler::PassStat& p : scrubbed) p.wall_ns = 0;
+  }
+  add(HabSection::kMeta, meta);
+  add(HabSection::kHwConfig, a.hw_config);
+  add(HabSection::kSize, a.size);
+  add(HabSection::kMemPlan, a.memory_plan);
+  add(HabSection::kPasses, scrub_wall_ns ? scrubbed : a.pass_timeline);
+  add(HabSection::kDispatch, a.dispatch_log);
+  {
+    Writer w;
+    WriteGraph(w, a.kernel_graph);
+    sections.push_back({HabSection::kGraph, w.str()});
+  }
+  add(HabSection::kKernels, a.kernels);
   // kSoc only for non-default SoCs: keeps "diana" HABs byte-identical to
   // pre-SoC-family producers (and loadable by their readers, which skip
   // unknown section ids).
-  if (a.soc_name != "diana") {
-    add(HabSection::kSoc, [&](Writer& w) { w.Str(a.soc_name); });
-  }
+  if (a.soc_name != "diana") add(HabSection::kSoc, a.soc_name);
   // kPlan only when a graph-level search actually produced a plan: the
   // heuristic path serializes byte-identically to pre-graph-search HABs.
-  if (!a.plan.empty()) {
-    add(HabSection::kPlan, [&](Writer& w) { w.Str(a.plan.Serialize()); });
-  }
+  if (!a.plan.empty()) add(HabSection::kPlan, a.plan.Serialize());
 
   // Lay out payloads 8-byte aligned after header + section table.
   const size_t table_bytes = sections.size() * kHabSectionEntryBytes;
@@ -1016,23 +681,23 @@ std::string SerializeHabImpl(const compiler::Artifact& a, const HabMeta& meta,
     while ((kHabHeaderBytes + table_bytes + payloads.size()) < offset) {
       payloads.push_back('\0');
     }
-    table.U32(static_cast<u32>(s.id));
-    table.U32(0);  // flags, reserved
-    table.U64(offset);
-    table.U64(s.payload.size());
-    table.U64(HabChecksum(reinterpret_cast<const u8*>(s.payload.data()),
-                          s.payload.size()));
+    table(static_cast<u32>(s.id));
+    table(u32{0});  // flags, reserved
+    table(offset);
+    table(static_cast<u64>(s.payload.size()));
+    table(HabChecksum(reinterpret_cast<const u8*>(s.payload.data()),
+                      s.payload.size()));
     payloads += s.payload;
     offset += s.payload.size();
   }
 
   Writer header;
-  header.U64(LoadU64(reinterpret_cast<const u8*>(kHabMagic)));
-  header.U32(kHabVersion);
-  header.U32(kHabEndianTag);
-  header.U32(kHabHeaderBytes);
-  header.U32(static_cast<u32>(sections.size()));
-  header.U64(offset);  // total file bytes
+  header(LoadU64(reinterpret_cast<const u8*>(kHabMagic)));
+  header(kHabVersion);
+  header(kHabEndianTag);
+  header(kHabHeaderBytes);
+  header(static_cast<u32>(sections.size()));
+  header(offset);  // total file bytes
   std::string out = header.str();
   out.resize(kHabHeaderBytes, '\0');
   out += table.str();
@@ -1146,49 +811,34 @@ Result<ParsedHab> ParseHab(std::span<const u8> data) {
     return s;
   };
 
+  const auto read = [&](HabSection id, const char* name,
+                        auto& record) -> Status {
+    HTVM_ASSIGN_OR_RETURN(s, section(id));
+    Reader r(s.data, s.size, name);
+    r(record);
+    return r.Finish();
+  };
   compiler::Artifact& a = parsed.artifact;
-  {
-    HTVM_ASSIGN_OR_RETURN(s, section(HabSection::kMeta));
-    Reader r(s.data, s.size, "meta");
-    HTVM_RETURN_IF_ERROR(ReadMeta(r, parsed.meta));
-  }
-  {
-    HTVM_ASSIGN_OR_RETURN(s, section(HabSection::kHwConfig));
-    Reader r(s.data, s.size, "hw-config");
-    HTVM_RETURN_IF_ERROR(ReadHwConfig(r, a.hw_config));
-  }
-  {
-    HTVM_ASSIGN_OR_RETURN(s, section(HabSection::kSize));
-    Reader r(s.data, s.size, "size");
-    HTVM_RETURN_IF_ERROR(ReadSize(r, a.size));
-  }
-  {
-    HTVM_ASSIGN_OR_RETURN(s, section(HabSection::kMemPlan));
-    Reader r(s.data, s.size, "mem-plan");
-    HTVM_RETURN_IF_ERROR(ReadMemPlan(r, a.memory_plan));
-  }
-  {
-    HTVM_ASSIGN_OR_RETURN(s, section(HabSection::kPasses));
-    Reader r(s.data, s.size, "passes");
-    HTVM_RETURN_IF_ERROR(ReadPasses(r, a.pass_timeline));
-  }
-  {
-    HTVM_ASSIGN_OR_RETURN(s, section(HabSection::kDispatch));
-    Reader r(s.data, s.size, "dispatch");
-    HTVM_RETURN_IF_ERROR(ReadDispatch(r, a.dispatch_log));
-  }
+  HTVM_RETURN_IF_ERROR(read(HabSection::kMeta, "meta", parsed.meta));
+  HTVM_RETURN_IF_ERROR(read(HabSection::kHwConfig, "hw-config", a.hw_config));
+  HTVM_RETURN_IF_ERROR(read(HabSection::kSize, "size", a.size));
+  HTVM_RETURN_IF_ERROR(read(HabSection::kMemPlan, "mem-plan", a.memory_plan));
+  HTVM_RETURN_IF_ERROR(read(HabSection::kPasses, "passes", a.pass_timeline));
+  HTVM_RETURN_IF_ERROR(read(HabSection::kDispatch, "dispatch", a.dispatch_log));
   {
     HTVM_ASSIGN_OR_RETURN(s, section(HabSection::kGraph));
     Reader r(s.data, s.size, "graph");
     HTVM_RETURN_IF_ERROR(ReadGraph(r, a.kernel_graph,
                                    /*allow_composite=*/true));
-    HTVM_RETURN_IF_ERROR(r.ExpectEnd());
+    HTVM_RETURN_IF_ERROR(r.Finish());
     HTVM_RETURN_IF_ERROR(a.kernel_graph.Validate());
   }
-  {
-    HTVM_ASSIGN_OR_RETURN(s, section(HabSection::kKernels));
-    Reader r(s.data, s.size, "kernels");
-    HTVM_RETURN_IF_ERROR(ReadKernels(r, a.kernel_graph, a.kernels));
+  HTVM_RETURN_IF_ERROR(read(HabSection::kKernels, "kernels", a.kernels));
+  for (const compiler::CompiledKernel& k : a.kernels) {
+    if (k.node < 0 || k.node >= a.kernel_graph.NumNodes()) {
+      return Status::InvalidArgument(
+          "hab kernels section: kernel node id out of range");
+    }
   }
   // kSoc is optional: absent in every "diana" HAB (and everything produced
   // before SoC families existed), where the member default applies.
@@ -1196,8 +846,9 @@ Result<ParsedHab> ParseHab(std::span<const u8> data) {
     const Span s = by_id[static_cast<u32>(HabSection::kSoc)];
     if (s.data != nullptr) {
       Reader r(s.data, s.size, "soc");
-      HTVM_ASSIGN_OR_RETURN(name, r.Str());
-      HTVM_RETURN_IF_ERROR(r.ExpectEnd());
+      std::string name;
+      r(name);
+      HTVM_RETURN_IF_ERROR(r.Finish());
       if (name.empty()) {
         return Status::InvalidArgument("hab: soc section names an empty SoC");
       }
@@ -1213,8 +864,9 @@ Result<ParsedHab> ParseHab(std::span<const u8> data) {
     const Span s = by_id[static_cast<u32>(HabSection::kPlan)];
     if (s.data != nullptr) {
       Reader r(s.data, s.size, "plan");
-      HTVM_ASSIGN_OR_RETURN(text, r.Str());
-      HTVM_RETURN_IF_ERROR(r.ExpectEnd());
+      std::string text;
+      r(text);
+      HTVM_RETURN_IF_ERROR(r.Finish());
       HTVM_ASSIGN_OR_RETURN(plan, dory::GraphPlan::Deserialize(text));
       if (plan.soc_name != a.soc_name) {
         return Status::InvalidArgument(StrFormat(

@@ -17,7 +17,8 @@
 // in-process compile that produced it.
 //
 // Failure model: every malformed input — truncation, bit flip, wrong magic,
-// future format version, foreign endianness, oversized section lengths —
+// future format version, foreign endianness, oversized section lengths,
+// checksum-valid garbage inside a section, an unknown op in the graph —
 // degrades to a typed error Status (Unsupported for version/endianness
 // skew, InvalidArgument for corruption), never a crash. The artifact cache
 // treats any load error as a miss and recompiles.

@@ -136,6 +136,40 @@ TEST(Graph, UnknownOpRejected) {
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
 }
 
+// Graphs also arrive from graph text and HAB payloads, so malformed
+// windows and mistyped attributes are typed errors, never aborts.
+TEST(Graph, MalformedAttrsAreInvalidArgument) {
+  Graph g;
+  const NodeId x = g.AddInput("x", {Shape{1, 3, 8, 8}, DType::kInt8});
+  Rng rng(1);
+  const NodeId w = g.AddConstant(
+      Tensor::Random(Shape{16, 3, 3, 3}, DType::kInt8, rng), "w");
+  const NodeId empty_w = g.AddConstant(
+      Tensor(Shape{16, 3, 0, 3}, DType::kInt8), "empty_w");
+  const auto conv = [&](NodeId weight, AttrMap attrs) {
+    return g.TryAddOp("nn.conv2d", {x, weight}, std::move(attrs));
+  };
+  const auto pool = [&](AttrMap attrs) {
+    return g.TryAddOp("nn.max_pool2d", {x}, std::move(attrs));
+  };
+  const std::vector<Result<NodeId>> rejected = {
+      conv(w, {{"strides", std::vector<i64>{0, 1}}}),
+      conv(w, {{"strides", std::vector<i64>{1}}}),
+      conv(w, {{"padding", std::vector<i64>{1, 1, 1}}}),
+      conv(w, {{"groups", std::string("1")}}),
+      conv(empty_w, {}),
+      pool({{"pool_size", std::vector<i64>{2}}}),
+      pool({{"pool_size", std::vector<i64>{2, -2}}}),
+      pool({{"strides", i64{2}}}),
+  };
+  for (size_t i = 0; i < rejected.size(); ++i) {
+    ASSERT_FALSE(rejected[i].ok()) << "case " << i;
+    EXPECT_EQ(rejected[i].status().code(), StatusCode::kInvalidArgument)
+        << "case " << i << ": " << rejected[i].status().ToString();
+  }
+  EXPECT_TRUE(conv(w, {{"padding", std::vector<i64>{1, 1}}}).ok());
+}
+
 TEST(Builder, ConvBlockEmitsListing1Chain) {
   GraphBuilder b(1);
   NodeId x = b.Input("x", Shape{1, 8, 8, 8});

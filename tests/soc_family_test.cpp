@@ -159,6 +159,20 @@ TEST(SocRegistry, FingerprintsArePairwiseDistinct) {
   hw::SocDescription twin = hw::SocDescription::Diana();
   twin.name = "diana-twin";
   EXPECT_NE(twin.Fingerprint(), hw::SocDescription::Diana().Fingerprint());
+  // The values themselves are pinned: the fingerprint walks the shared
+  // hw::Fields(DianaConfig) list, and a reordered or dropped field must
+  // show up here, not as stale plan-memo hits.
+  const std::map<std::string, u64> pinned = {
+      {"diana", 0x22aa73ab30fc7cdcull},
+      {"diana-l1half", 0xbd0a0c76e0a10698ull},
+      {"diana-l2x2", 0x7d529ff4da5c1956ull},
+      {"diana-pe32", 0x0bd7cb2e84f6db5full},
+      {"diana-noanalog", 0x530ef8ba9e084450ull},
+      {"diana-scalar", 0x694070612d68971eull},
+  };
+  for (const auto& [family, fp] : pinned) {
+    EXPECT_EQ(hw::FindSoc(family)->Fingerprint(), fp) << family;
+  }
 }
 
 TEST(SocRegistry, DuplicateAndEmptyRegistrationsFail) {

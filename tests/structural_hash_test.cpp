@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "cache/cache_key.hpp"
+#include "dory/schedule_search.hpp"
 #include "ir/builder.hpp"
 #include "ir/structural_hash.hpp"
 #include "models/mlperf_tiny.hpp"
@@ -223,6 +224,39 @@ TEST(OptionsFingerprint, ArtifactAffectingFieldsAreIncluded) {
   compiler::CompileOptions tiled;
   tiled.tiler.alpha = 2.0;
   EXPECT_NE(cache::OptionsFingerprint(tiled), base);
+}
+
+// Literal values: the fingerprints walk the shared hw::Fields(DianaConfig)
+// and dory::Fields(TilerOptions) lists, so a reordered, dropped or retyped
+// field changes a key here instead of silently invalidating (or, worse,
+// aliasing) cache entries and schedule memos.
+TEST(OptionsFingerprint, ValuesArePinned) {
+  const auto hex = [](const compiler::CompileOptions& options) {
+    return cache::OptionsFingerprint(options).ToHex();
+  };
+  compiler::CompileOptions graph_beam;
+  graph_beam.schedule_search.kind = dory::ScheduleSearchKind::kGraphBeam;
+  EXPECT_EQ(hex(compiler::CompileOptions{}),
+            "0f336d787f7e2445458969d0fc37f74f");
+  EXPECT_EQ(hex(compiler::CompileOptions::DigitalOnly()),
+            "8ce376816f51804cf5fe90f106336b0b");
+  EXPECT_EQ(hex(compiler::CompileOptions::PlainTvm()),
+            "ce92caa11f1cd1ffdd8ed0c32a1d7994");
+  EXPECT_EQ(hex(graph_beam), "c2716f447c5bbbfc47bd9677a9c949e6");
+
+  dory::AccelLayerSpec conv;
+  conv.c = 16;
+  conv.iy = conv.ix = 32;
+  conv.k = 32;
+  conv.oy = conv.ox = 32;
+  conv.kh = conv.kw = 3;
+  conv.pad_t = conv.pad_l = conv.pad_b = conv.pad_r = 1;
+  const auto problem = [&conv](dory::AccelTarget target) {
+    return dory::ScheduleSearchProblemFingerprint(
+        conv, target, dory::TilerOptions{}, dory::ScheduleSearchOptions{});
+  };
+  EXPECT_EQ(problem(dory::AccelTarget::kDigital), 0x491ec9feec69693dull);
+  EXPECT_EQ(problem(dory::AccelTarget::kAnalog), 0x1db1e8e99d4878f0ull);
 }
 
 TEST(CacheKey, TextFormIsStable) {

@@ -233,13 +233,28 @@ SectionEntry FindSectionEntry(const std::string& image, HabSection id) {
   return {};
 }
 
-// Rewrites the plan section's checksum to match its (mutated) payload, so
-// the corruption is seen by the plan parser, not the checksum verifier.
-void FixPlanChecksum(std::string& image, const SectionEntry& plan) {
+// Rewrites a section's checksum to match its (mutated) payload, so the
+// corruption is seen by the section's decoder, not the checksum verifier.
+void FixChecksum(std::string& image, const SectionEntry& section) {
   const u64 sum = HabChecksum(
-      reinterpret_cast<const u8*>(image.data()) + plan.offset,
-      static_cast<size_t>(plan.bytes));
-  std::memcpy(image.data() + plan.entry_pos + 24, &sum, sizeof sum);
+      reinterpret_cast<const u8*>(image.data()) + section.offset,
+      static_cast<size_t>(section.bytes));
+  std::memcpy(image.data() + section.entry_pos + 24, &sum, sizeof sum);
+}
+
+// 1-4 single-bit flips inside one section's payload, checksum fixed up.
+std::string FlipBitsInSection(const std::string& image,
+                              const SectionEntry& section, Rng& rng) {
+  std::string mutated = image;
+  const int flips = 1 + static_cast<int>(rng.NextU64() % 4);
+  for (int f = 0; f < flips; ++f) {
+    const size_t pos =
+        static_cast<size_t>(section.offset + rng.NextU64() % section.bytes);
+    mutated[pos] = static_cast<char>(static_cast<u8>(mutated[pos]) ^
+                                     (u8{1} << (rng.NextU64() % 8)));
+  }
+  FixChecksum(mutated, section);
+  return mutated;
 }
 
 TEST(VmLoadFuzz, PlanImageParsesAndCarriesThePlan) {
@@ -255,17 +270,7 @@ TEST(VmLoadFuzz, CorruptedPlanSectionsAreTypedErrors) {
   Rng rng(0x91A7F1A2ull);
   int rejected = 0;
   for (int trial = 0; trial < 500; ++trial) {
-    std::string mutated = image;
-    // 1-4 byte flips inside the plan payload, then a checksum fix-up.
-    const int flips = 1 + static_cast<int>(rng.NextU64() % 4);
-    for (int f = 0; f < flips; ++f) {
-      const size_t pos = static_cast<size_t>(
-          plan.offset + rng.NextU64() % plan.bytes);
-      mutated[pos] = static_cast<char>(
-          static_cast<u8>(mutated[pos]) ^ (u8{1} << (rng.NextU64() % 8)));
-    }
-    FixPlanChecksum(mutated, plan);
-    auto parsed = ParseHab(AsSpan(mutated));
+    auto parsed = ParseHab(AsSpan(FlipBitsInSection(image, plan, rng)));
     if (!parsed.ok()) {
       ++rejected;
       // Every rejection must be a typed status, not an internal crash
@@ -289,10 +294,43 @@ TEST(VmLoadFuzz, GarbagePlanPayloadIsTypedError) {
   for (u64 i = 0; i < plan.bytes; ++i) {
     mutated[static_cast<size_t>(plan.offset + i)] = '\xAB';
   }
-  FixPlanChecksum(mutated, plan);
+  FixChecksum(mutated, plan);
   auto parsed = ParseHab(AsSpan(mutated));
   ASSERT_FALSE(parsed.ok());
   EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+}
+
+// Every section of both corpora (heuristic and graph-beam), corrupted with
+// its checksum fixed so the bytes reach the section's own decoder: the
+// record readers, the graph reader and Graph::TryAddOp's attribute and
+// window checks. A rejection must be a typed corruption status; an abort
+// (e.g. an assert on a non-positive stride) fails the whole binary.
+TEST(VmLoadFuzz, ChecksumFixedFlipsInEverySectionAreTypedErrors) {
+  for (const std::string* image : {&ValidImage(), &PlanImage()}) {
+    u32 section_count;
+    std::memcpy(&section_count, image->data() + kHabSectionCountOffset,
+                sizeof section_count);
+    for (u32 i = 0; i < section_count; ++i) {
+      u32 id;
+      std::memcpy(&id,
+                  image->data() + kHabHeaderBytes +
+                      size_t{i} * kHabSectionEntryBytes,
+                  sizeof id);
+      const SectionEntry section =
+          FindSectionEntry(*image, static_cast<HabSection>(id));
+      ASSERT_GT(section.bytes, 0u) << "section " << id;
+      Rng rng(0x5EC7'0000ull + id);
+      for (int trial = 0; trial < 300; ++trial) {
+        auto parsed =
+            ParseHab(AsSpan(FlipBitsInSection(*image, section, rng)));
+        if (!parsed.ok()) {
+          EXPECT_TRUE(parsed.status().code() == StatusCode::kInvalidArgument ||
+                      parsed.status().code() == StatusCode::kUnsupported)
+              << "section " << id << ": " << parsed.status().ToString();
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
